@@ -74,7 +74,6 @@ class RunConfig:
     backend: str
     fmt: str
     seed: int
-    jobs: int
     node_budget: int | None
     log_base: str
     n: int | None = None
@@ -87,8 +86,6 @@ class RunConfig:
             raise CliError(
                 EXIT_USAGE, "exactly one of --model or --builtin is required"
             )
-        if args.jobs < 1:
-            raise CliError(EXIT_USAGE, "--jobs must be >= 1")
         if args.node_budget is not None and args.node_budget < 1:
             raise CliError(EXIT_USAGE, "--node-budget must be >= 1")
         return cls(
@@ -99,7 +96,6 @@ class RunConfig:
             backend=args.backend,
             fmt=args.format,
             seed=args.seed,
-            jobs=args.jobs,
             node_budget=args.node_budget,
             log_base=args.log_base,
             n=getattr(args, "n", None),
@@ -153,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=BACKENDS, default="auto")
     parser.add_argument("--format", choices=("human", "json", "csv"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for demos")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker cap; results are independent of it",
-    )
     parser.add_argument("--node-budget", type=int, default=None, metavar="N")
     parser.add_argument("--log-base", choices=("e", "2"), default="e")
 

@@ -3,14 +3,24 @@
 A side-n cube is a stack of n slices along the last axis.  A slice is a
 (d-1)-cube of side n that is internally admissible for axes 1..d-1; two
 consecutive slices must be componentwise allowed along axis d.  The cube
-count is the number of length-n walks in that transition relation.
+count is the number of length-n walks in that transition relation T:
+``C_n = 1^T T^(n-1) 1``.
 
 The relation is never materialized as an edge list (it is far too dense at
 interesting sizes).  Instead each vector-through-relation product is
 applied one slice cell at a time: live states are packed base-q integers
 holding the undecided suffix of the previous slice and the decided prefix
-of the next one, with exact integer weights.  ``TransitionStructure``
-still builds explicit adjacency lists for small instances, where tests
+of the next one, with exact integer weights.  After a full product the
+live states are again packed slices.
+
+The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
+``C_n = <(T^T)^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``.
+A symmetric model (the paper's hypothesis) has ``T = T^T``, so the second
+vector is the first one itself, advanced once more when n-1 is odd: about
+half the products, on counts of about half the width.  A model built
+directly with an asymmetric last-axis relation walks the second vector
+from scratch with the transposed masks.  ``TransitionStructure`` still
+builds explicit adjacency lists for small instances, where tests
 cross-check the factored product against plain walk counting.
 """
 
@@ -147,14 +157,31 @@ def _pack(values: tuple[int, ...], q: int) -> int:
     return code
 
 
-def _advance(model: SftModel, n: int, dist: dict[int, int], state_budget: int):
-    """One vector-through-relation product, factored over slice cells."""
+def _transpose(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Mask table of the reversed relation: bit a of row b iff (a, b) allowed."""
+    q = len(masks)
+    return tuple(
+        sum(1 << a for a in range(q) if masks[a] >> b & 1) for b in range(q)
+    )
+
+
+def _advance(
+    model: SftModel,
+    n: int,
+    dist: dict[int, int],
+    last_masks: tuple[int, ...],
+    state_budget: int,
+):
+    """One vector-through-relation product, factored over slice cells.
+
+    ``last_masks[a]`` is the set of values the next slice may hold where
+    the previous one holds a.
+    """
     d = model.dimension
     q = model.num_symbols
     w = n ** (d - 1)
     top = q ** (w - 1)
     vfm = model.values_for_mask
-    last_masks = model.allowed_masks[d - 1]
     for checks in _phase_checks(model, n):
         new: dict[int, int] = {}
         get = new.get
@@ -193,6 +220,22 @@ def _advance(model: SftModel, n: int, dist: dict[int, int], state_budget: int):
     return dist
 
 
+def _walk(
+    model: SftModel,
+    n: int,
+    space: SliceStateSpace,
+    masks: tuple[int, ...],
+    steps: int,
+    state_budget: int,
+) -> dict[int, int]:
+    """The all-ones slice vector pushed through ``steps`` products."""
+    q = model.num_symbols
+    dist = {_pack(s, q): 1 for s in space.slices}
+    for _ in range(steps):
+        dist = _advance(model, n, dist, masks, state_budget)
+    return dist
+
+
 def count_via_transfer(
     model: SftModel,
     n: int,
@@ -205,11 +248,18 @@ def count_via_transfer(
     if model.dimension == 1:
         return count_patterns_dfs(model, n, node_budget)
     space = build_slice_space(model, n, node_budget, state_budget)
-    q = model.num_symbols
-    dist = {_pack(s, q): 1 for s in space.slices}
-    for _ in range(n - 1):
-        dist = _advance(model, n, dist, state_budget)
-    return sum(dist.values())
+    forward = model.allowed_masks[model.dimension - 1]
+    backward = _transpose(forward)
+    a = (n - 1) // 2
+    v = _walk(model, n, space, forward, a, state_budget)
+    if backward == forward:
+        u = v  # T = T^T: T^a 1 is also the first a steps of T^b 1
+    else:
+        u = _walk(model, n, space, backward, a, state_budget)
+    if (n - 1) % 2:
+        u = _advance(model, n, u, backward, state_budget)
+    get = u.get
+    return sum(c * get(k, 0) for k, c in v.items())
 
 
 def upper_bound_stream(

@@ -14,6 +14,7 @@ from sftbounds import (
     upper_bound_stream,
 )
 from sftbounds.models import drop_last_axis
+from sftbounds.transfer import DEFAULT_STATE_BUDGET, _advance, _pack
 
 from conftest import forbid_axis_model, full_shift
 
@@ -26,6 +27,17 @@ def walk_count(model, n):
     for _ in range(n - 1):
         vec = [sum(vec[i] for i in row) for row in trans.neighbors]
     return sum(vec)
+
+
+def full_walk_count(model, n):
+    """The full (n-1)-step factored walk, with no half-walk split."""
+    space = build_slice_space(model, n)
+    q = model.num_symbols
+    masks = model.allowed_masks[model.dimension - 1]
+    dist = {_pack(s, q): 1 for s in space.slices}
+    for _ in range(n - 1):
+        dist = _advance(model, n, dist, masks, DEFAULT_STATE_BUDGET)
+    return sum(dist.values())
 
 
 def test_slice_space_hard_square_n3(hard_square2):
@@ -126,6 +138,42 @@ def test_transfer_matches_walk_counting(hard_square2, coloring3_d2, hard_square3
             assert count_via_transfer(model, n) == walk_count(model, n)
 
 
+def test_half_walk_matches_full_walk(hard_square2, coloring3_d2, hard_square3):
+    # both parities of n-1: the walk ends with or without the odd step
+    for model, n_range in [
+        (hard_square2, range(1, 17)),
+        (coloring3_d2, range(1, 12)),
+        (hard_square3, range(1, 5)),
+    ]:
+        for n in n_range:
+            assert count_via_transfer(model, n) == full_walk_count(model, n)
+
+
+def asymmetric_models():
+    """Directly built models whose last-axis relation is not symmetric."""
+    two = Alphabet(("0", "1"))
+    three = Alphabet(("a", "b", "c"))
+    return [
+        # no 0 directly below a 1 along the last axis; hard-square along axis 1
+        SftModel(2, two, (frozenset({(1, 1)}), frozenset({(0, 1)}))),
+        # cyclic order a -> b -> c forbidden along the last axis only
+        SftModel(2, three, (frozenset(), frozenset({(0, 1), (1, 2), (2, 0)}))),
+        # asymmetric along both axes
+        SftModel(2, three, (frozenset({(0, 2)}), frozenset({(1, 0), (2, 2)}))),
+    ]
+
+
+def test_transfer_asymmetric_last_axis():
+    for model in asymmetric_models():
+        last = model.forbidden[-1]
+        assert any((b, a) not in last for a, b in last)
+        q = model.num_symbols
+        for n in range(1, 5 if q == 2 else 4):
+            assert count_via_transfer(model, n) == count_patterns_dfs(model, n)
+        for n in range(1, 9):
+            assert count_via_transfer(model, n) == full_walk_count(model, n)
+
+
 def test_transfer_d1_delegates(hard_square1):
     for n in range(1, 8):
         assert count_via_transfer(hard_square1, n) == count_patterns_dfs(
@@ -152,7 +200,12 @@ def symmetric_models_d2(draw):
 @settings(max_examples=40, deadline=None)
 @given(symmetric_models_d2(), st.integers(1, 4))
 def test_transfer_agrees_with_dfs_random(model, n):
-    assert count_via_transfer(model, n) == count_patterns_dfs(model, n)
+    # q=3, n=4 with few forbidden pairs is past the DFS node budget
+    if model.num_symbols ** (n * n) > 10_000_000:
+        expected = walk_count(model, n)
+    else:
+        expected = count_patterns_dfs(model, n)
+    assert count_via_transfer(model, n) == expected
 
 
 def test_upper_bound_stream(hard_square2):
