@@ -18,7 +18,7 @@ def main() -> None:
     q = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     n_max = int(sys.argv[2]) if len(sys.argv) > 2 else 10
     model = builtin_model("coloring", 2, q)
-    report = build_report(model, n_max, backend="transfer")
+    report = build_report(model, n_max)
 
     print(f"{'n':>3}  {'digits(C_n)':>11}  {'lower':>10}  {'upper':>10}")
     for row in report.rows:

@@ -19,7 +19,7 @@ def main() -> None:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     model = builtin_model("hard-square", 2)
     start = time.time()
-    report = build_report(model, n_max, backend="transfer")
+    report = build_report(model, n_max)
     elapsed = time.time() - start
 
     print(f"{'n':>3}  {'digits(C_n)':>11}  {'lower':>10}  {'upper':>10}  {'gap_bound':>10}")

@@ -38,7 +38,6 @@ from .transfer import (
     build_transitions,
     count_patterns,
     count_via_transfer,
-    upper_bound_stream,
 )
 from .gluing import (
     GlueError,

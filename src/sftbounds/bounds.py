@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .models import SftModel, model_to_doc
-from .enumeration import BudgetExceededError, count_by_state
+from .enumeration import BudgetExceededError
 from .transfer import count_patterns
+from .gluing import verify_key_inequality
 
 DOUBLING_TOL = 1e-12
 EXACT_CHECK_BIT_LIMIT = 20_000_000
@@ -126,14 +127,7 @@ def entropy_bounds(
     return BoundsRow(n, c_n, c_n1, q_value, upper, lower, gap_bound)
 
 
-def verify_power_mean_bound(
-    model: SftModel,
-    n: int,
-    backend: str = "auto",
-    node_budget: int | None = None,
-    c_n1: int | None = None,
-    c_2n1: int | None = None,
-) -> bool:
+def verify_power_mean_bound(model: SftModel, n: int, c_n1: int, c_2n1: int) -> bool:
     """Exact integer check of the state-averaged count bound:
 
         C_{2n+1} * S^((2^d - 1)((n+1)^d - n^d))  >=  (C_{n+1})^(2^d).
@@ -141,10 +135,6 @@ def verify_power_mean_bound(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = model.dimension
-    if c_n1 is None:
-        c_n1 = count_patterns(model, n + 1, backend, node_budget)
-    if c_2n1 is None:
-        c_2n1 = count_patterns(model, 2 * n + 1, backend, node_budget)
     s = model.num_symbols
     exponent = (2 ** d - 1) * ((n + 1) ** d - n ** d)
     return c_2n1 * s ** exponent >= c_n1 ** (2 ** d)
@@ -153,10 +143,8 @@ def verify_power_mean_bound(
 def verify_doubling_monotonicity(
     model: SftModel,
     n: int,
-    backend: str = "auto",
-    node_budget: int | None = None,
-    c_n1: int | None = None,
-    c_2n1: int | None = None,
+    c_n1: int,
+    c_2n1: int,
     tol: float = DOUBLING_TOL,
 ) -> bool:
     """Check the lower-bound sequence increases from n to 2n:
@@ -171,10 +159,6 @@ def verify_doubling_monotonicity(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = model.dimension
-    if c_n1 is None:
-        c_n1 = count_patterns(model, n + 1, backend, node_budget)
-    if c_2n1 is None:
-        c_2n1 = count_patterns(model, 2 * n + 1, backend, node_budget)
     if c_n1 == 0:
         return True
     if c_2n1 == 0:
@@ -203,7 +187,6 @@ def verify_doubling_monotonicity(
 def build_report(
     model: SftModel,
     n_max: int,
-    backend: str = "auto",
     node_budget: int | None = None,
     key_enum_cap: int = DEFAULT_KEY_ENUM_CAP,
 ) -> ConvergenceReport:
@@ -220,28 +203,25 @@ def build_report(
     counts: dict[int, int | None] = {}
     for n in range(1, n_max + 2):
         try:
-            counts[n] = count_patterns(model, n, backend, node_budget)
+            counts[n] = count_patterns(model, n, node_budget)
         except BudgetExceededError:
             counts[n] = None
-    d = model.dimension
     rows = []
     for n in range(1, n_max + 1):
         row = entropy_bounds(model, n, counts[n], counts[n + 1])
         if 2 * n + 1 <= n_max + 1:
             c_n1, c_2n1 = counts[n + 1], counts[2 * n + 1]
             if c_n1 is not None and c_2n1 is not None:
-                row.checks.power_mean = verify_power_mean_bound(
-                    model, n, c_n1=c_n1, c_2n1=c_2n1
-                )
+                row.checks.power_mean = verify_power_mean_bound(model, n, c_n1, c_2n1)
                 row.checks.doubling = verify_doubling_monotonicity(
-                    model, n, c_n1=c_n1, c_2n1=c_2n1
+                    model, n, c_n1, c_2n1
                 )
         c_n = counts[n]
         c_glued = counts.get(2 * n - 1)
         if c_n is not None and c_n <= key_enum_cap and c_glued is not None:
-            table = count_by_state(model, n, node_budget)
-            rhs = sum(c ** (1 << d) for c in table.values())
-            row.checks.key_inequality = c_glued >= rhs
+            _, _, row.checks.key_inequality = verify_key_inequality(
+                model, n, c_glued, node_budget
+            )
         rows.append(row)
     return ConvergenceReport(model, rows)
 

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: count, bounds, verify, glue-demo.  Global flags select the
-model (--model FILE or --builtin NAME[:PARAM] with --dim), the counting
-backend, output format, seed, and budgets, and come before the
-subcommand, e.g.
+model (--model FILE or --builtin NAME[:PARAM] with --dim), the output
+format, seed, node budget and log base, and come before the subcommand,
+e.g.
 
     sftbounds --builtin hard-square --dim 2 count --n 3
     sftbounds --builtin coloring:3 --dim 2 --format json bounds --n-max 6
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
 from .patterns import format_pattern, is_locally_admissible
 from .enumeration import BudgetExceededError
-from .transfer import BACKENDS, count_patterns
+from .transfer import count_patterns
 from .gluing import (
     GlueError,
     GlueInput,
@@ -71,7 +71,6 @@ class RunConfig:
     model_path: str | None
     builtin: str | None
     dim: int | None
-    backend: str
     fmt: str
     seed: int
     node_budget: int | None
@@ -93,7 +92,6 @@ class RunConfig:
             model_path=args.model,
             builtin=args.builtin,
             dim=args.dim,
-            backend=args.backend,
             fmt=args.format,
             seed=args.seed,
             node_budget=args.node_budget,
@@ -146,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="builtin model: hard-square or coloring:q",
     )
     parser.add_argument("--dim", type=int, help="dimension for --builtin")
-    parser.add_argument("--backend", choices=BACKENDS, default="auto")
     parser.add_argument("--format", choices=("human", "json", "csv"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for demos")
     parser.add_argument("--node-budget", type=int, default=None, metavar="N")
@@ -178,7 +175,7 @@ def cmd_count(model: SftModel, cfg: RunConfig) -> int:
         raise CliError(EXIT_USAGE, "need 1 <= --n <= --n-max")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        rows.append((n, count_patterns(model, n, cfg.backend, cfg.node_budget)))
+        rows.append((n, count_patterns(model, n, cfg.node_budget)))
     if cfg.fmt == "json":
         doc = {"counts": [{"n": n, "C_n": str(c)} for n, c in rows]}
         print(json.dumps(doc, indent=2))
@@ -201,7 +198,7 @@ def _fmt_bound(x, scale: float) -> str:
 
 
 def cmd_bounds(model: SftModel, cfg: RunConfig) -> int:
-    report = build_report(model, cfg.n_max, cfg.backend, cfg.node_budget)
+    report = build_report(model, cfg.n_max, cfg.node_budget)
     if cfg.fmt == "json":
         print(json.dumps(report_to_json_dict(report, cfg.log_base), indent=2))
         return EXIT_OK
@@ -227,25 +224,27 @@ def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
     d = model.dimension
     results = []
 
-    lhs, rhs, holds = verify_key_inequality(model, n, cfg.backend, cfg.node_budget)
+    # C_{2n-1} and C_n serve all three checks: the power-mean and doubling
+    # checks at m = n - 1 read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.
+    c_glued = count_patterns(model, 2 * n - 1, cfg.node_budget)
+    lhs, rhs, holds = verify_key_inequality(model, n, c_glued, cfg.node_budget)
     results.append(
         (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
          f"sum_s C_{n}^(s)^{1 << d} = {rhs}", holds)
     )
 
     m = n - 1
-    c_m1 = count_patterns(model, m + 1, cfg.backend, cfg.node_budget)
-    c_2m1 = count_patterns(model, 2 * m + 1, cfg.backend, cfg.node_budget)
+    c_n = count_patterns(model, n, cfg.node_budget)
     s = model.num_symbols
     expo = (2 ** d - 1) * ((m + 1) ** d - m ** d)
-    pm = verify_power_mean_bound(model, m, c_n1=c_m1, c_2n1=c_2m1)
+    pm = verify_power_mean_bound(model, m, c_n, c_glued)
     results.append(
-        (f"power-mean bound (n={m}): {c_2m1} * {s}^{expo} >= {c_m1}^{1 << d}", pm)
+        (f"power-mean bound (n={m}): {c_glued} * {s}^{expo} >= {c_n}^{1 << d}", pm)
     )
-    db = verify_doubling_monotonicity(model, m, c_n1=c_m1, c_2n1=c_2m1)
+    db = verify_doubling_monotonicity(model, m, c_n, c_glued)
     results.append(
         (f"doubling monotonicity (n={m}): v_{2 * m} >= v_{m} "
-         f"with C_{m + 1} = {c_m1}, C_{2 * m + 1} = {c_2m1}", db)
+         f"with C_{m + 1} = {c_n}, C_{2 * m + 1} = {c_glued}", db)
     )
 
     sweep_ok = all(

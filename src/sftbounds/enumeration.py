@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import SftModel, mask_values
+from .models import SftModel
 from .patterns import CubePattern, SurfaceState, surface_indices
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -62,7 +62,7 @@ def _admissible_assignments(
     buf = [0] * cells
     cand: list[tuple[int, ...]] = [()] * cells
     pos = [0] * cells
-    cand[0] = vfm[full] if vfm is not None else mask_values(full)
+    cand[0] = vfm[full]
     depth = 0
     while depth >= 0:
         options = cand[depth]
@@ -85,7 +85,7 @@ def _admissible_assignments(
         m = full
         for off, masks in checks[nxt]:
             m &= masks[buf[nxt - off]]
-        cand[nxt] = vfm[m] if vfm is not None else mask_values(m)
+        cand[nxt] = vfm[m]
         pos[nxt] = 0
         depth = nxt
 

@@ -114,10 +114,11 @@ class SftModel:
         return (1 << self.num_symbols) - 1
 
     @cached_property
-    def values_for_mask(self) -> tuple[tuple[int, ...], ...] | None:
-        """Mask -> ascending symbol ids, or None for oversized alphabets."""
+    def values_for_mask(self) -> tuple[tuple[int, ...], ...] | _MaskValues:
+        """Mask -> ascending symbol ids: a full table for small alphabets,
+        filled on first lookup for larger ones."""
         if self.num_symbols > MASK_TABLE_LIMIT:
-            return None
+            return _MaskValues()
         return _mask_value_table(self.num_symbols)
 
 
@@ -128,15 +129,12 @@ def _mask_value_table(q: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=65536)
-def mask_values(m: int) -> tuple[int, ...]:
-    """Set-bit positions of m, ascending; fallback for large alphabets."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
+class _MaskValues(dict):
+    """Mask -> set-bit positions, ascending; computed per missing mask."""
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        self[m] = values = tuple(v for v in range(m.bit_length()) if m >> v & 1)
+        return values
 
 
 def validate_symmetry(model: SftModel) -> list[tuple[int, str, str]]:

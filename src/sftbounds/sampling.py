@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .models import SftModel, mask_values
+from .models import SftModel
 from .patterns import CubePattern, SurfaceState, surface_indices, surface_state
 from .enumeration import (
     BudgetExceededError,
@@ -54,7 +54,7 @@ def _randomized_completion(
         pinned = fixed.get(i)
         if pinned is not None:
             return [pinned] if m & (1 << pinned) else []
-        opts = list(vfm[m] if vfm is not None else mask_values(m))
+        opts = list(vfm[m])
         rng.shuffle(opts)
         return opts
 

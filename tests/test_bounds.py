@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sftbounds import (
     build_report,
+    count_patterns,
     entropy_bounds,
     leading_gap_coefficient,
     q_poly,
@@ -21,6 +22,11 @@ from sftbounds.bounds import log_count
 from conftest import forbid_axis_model, full_shift, single_symbol_forced
 
 NEG_INF = float("-inf")
+
+
+def check_counts(model, n):
+    """(C_{n+1}, C_{2n+1}), the counts both doubling-step checks read."""
+    return count_patterns(model, n + 1), count_patterns(model, 2 * n + 1)
 
 
 def test_q_poly_plane_is_linear():
@@ -113,8 +119,9 @@ def test_power_mean_examples(hard_square2):
     assert 63 * 2 ** 9 == 32256
     assert 32256 >= 7 ** 4 == 2401
     model = full_shift(2, 1)
-    assert verify_power_mean_bound(model, 1)
-    assert verify_power_mean_bound(forbid_axis_model(), 1)
+    assert verify_power_mean_bound(model, 1, *check_counts(model, 1))
+    model = forbid_axis_model()
+    assert verify_power_mean_bound(model, 1, *check_counts(model, 1))
 
 
 def test_power_mean_full_shift_equality_operands():
@@ -133,28 +140,30 @@ def test_doubling_hard_square(hard_square2):
 def test_doubling_full_shift():
     model = full_shift(2, 2)
     for n in (1, 2, 3):
-        assert verify_doubling_monotonicity(model, n)
+        assert verify_doubling_monotonicity(model, n, *check_counts(model, n))
 
 
 def test_doubling_single_symbol_forced():
     model = single_symbol_forced()
     for n in (1, 2, 3):
-        assert verify_doubling_monotonicity(model, n)
+        assert verify_doubling_monotonicity(model, n, *check_counts(model, n))
 
 
 def test_doubling_zero_counts_trivial():
-    assert verify_doubling_monotonicity(forbid_axis_model(), 1)
+    model = forbid_axis_model()
+    assert verify_doubling_monotonicity(model, 1, *check_counts(model, 1))
 
 
 def test_doubling_exact_and_float_paths_agree(hard_square2, coloring3_d2):
     import sftbounds.bounds as bounds_mod
 
     for model, n in [(hard_square2, 1), (hard_square2, 2), (coloring3_d2, 1)]:
-        exact = verify_doubling_monotonicity(model, n)
+        counts = check_counts(model, n)
+        exact = verify_doubling_monotonicity(model, n, *counts)
         original = bounds_mod.EXACT_CHECK_BIT_LIMIT
         bounds_mod.EXACT_CHECK_BIT_LIMIT = 0
         try:
-            via_float = verify_doubling_monotonicity(model, n)
+            via_float = verify_doubling_monotonicity(model, n, *counts)
         finally:
             bounds_mod.EXACT_CHECK_BIT_LIMIT = original
         assert exact == via_float

@@ -168,11 +168,20 @@ def test_exit_usage_on_model_parse_failure(capsys, tmp_path):
 
 def test_exit_budget_on_node_limit(capsys):
     code, _, err = run_cli(
-        capsys, "--builtin", "hard-square", "--dim", "2", "--backend", "dfs",
+        capsys, "--builtin", "hard-square", "--dim", "2",
         "--node-budget", "5", "count", "--n", "4",
     )
     assert code == 2
     assert "budget" in err.lower() or "resource" in err.lower()
+
+
+def test_backend_flag_is_a_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "--backend=dfs",
+        "count", "--n", "3",
+    )
+    assert code == 1
+    assert "unrecognized arguments: --backend=dfs" in err
 
 
 def test_usage_error_exit_code_from_argparse(capsys):

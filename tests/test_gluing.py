@@ -9,6 +9,7 @@ from sftbounds import (
     GlueError,
     GlueInput,
     builtin_model,
+    count_patterns,
     count_patterns_dfs,
     enumerate_patterns,
     extend_to_plus_one,
@@ -199,19 +200,22 @@ def test_extension_implies_monotone_counts(hard_square2, coloring3_d2):
 
 
 def test_key_inequality_hard_square(hard_square2):
-    lhs, rhs, holds = verify_key_inequality(hard_square2, 2)
+    lhs, rhs, holds = verify_key_inequality(
+        hard_square2, 2, count_patterns(hard_square2, 3)
+    )
     assert (lhs, rhs, holds) == (63, 35, True)
 
 
 def test_key_inequality_full_shift_line_equality():
     model = full_shift(3, 1)
-    lhs, rhs, holds = verify_key_inequality(model, 2)
+    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3))
     assert holds
     assert lhs == rhs == 27
 
 
 def test_key_inequality_empty_model():
-    lhs, rhs, holds = verify_key_inequality(forbid_axis_model(), 2)
+    model = forbid_axis_model()
+    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3))
     assert (lhs, rhs, holds) == (0, 0, True)
 
 

@@ -1,0 +1,30 @@
+"""Smoke runs of the experiment scripts in scripts/, which call the
+public API directly."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_hard_square_report_script():
+    proc = run_script("hard_square_report.py", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "doubling checks: 2/2 hold" in proc.stdout
+
+
+def test_coloring_report_script():
+    proc = run_script("coloring_report.py", "3", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "inside bracket: True" in proc.stdout

@@ -11,10 +11,9 @@ from sftbounds import (
     count_patterns,
     count_patterns_dfs,
     count_via_transfer,
-    upper_bound_stream,
 )
 from sftbounds.models import drop_last_axis
-from sftbounds.transfer import DEFAULT_STATE_BUDGET, _advance, _pack
+from sftbounds.transfer import DEFAULT_STATE_BUDGET, _advance, _pack, _phase_checks
 
 from conftest import forbid_axis_model, full_shift
 
@@ -34,9 +33,10 @@ def full_walk_count(model, n):
     space = build_slice_space(model, n)
     q = model.num_symbols
     masks = model.allowed_masks[model.dimension - 1]
+    phases = _phase_checks(model, n)
     dist = {_pack(s, q): 1 for s in space.slices}
     for _ in range(n - 1):
-        dist = _advance(model, n, dist, masks, DEFAULT_STATE_BUDGET)
+        dist = _advance(model, n, dist, masks, phases, DEFAULT_STATE_BUDGET)
     return sum(dist.values())
 
 
@@ -208,8 +208,8 @@ def test_transfer_agrees_with_dfs_random(model, n):
     assert count_via_transfer(model, n) == expected
 
 
-def test_upper_bound_stream(hard_square2):
-    assert list(upper_bound_stream(hard_square2, 4)) == [
+def test_count_patterns_sides_1_to_4(hard_square2):
+    assert [(n, count_patterns(hard_square2, n)) for n in range(1, 5)] == [
         (1, 2),
         (2, 7),
         (3, 63),
@@ -217,12 +217,13 @@ def test_upper_bound_stream(hard_square2):
     ]
 
 
-def test_stream_single_cell(coloring3_d2):
-    assert next(iter(upper_bound_stream(coloring3_d2, 1))) == (1, 3)
+def test_count_patterns_single_cell(coloring3_d2):
+    assert count_patterns(coloring3_d2, 1) == 3
 
 
-def test_stream_zero_model():
-    rows = dict(upper_bound_stream(forbid_axis_model(), 4))
+def test_count_patterns_zero_model():
+    model = forbid_axis_model()
+    rows = {n: count_patterns(model, n) for n in range(1, 5)}
     assert rows[1] == 2
     assert rows[2] == rows[3] == rows[4] == 0
 
@@ -232,12 +233,29 @@ def test_state_budget(hard_square2):
         count_via_transfer(hard_square2, 8, state_budget=5)
 
 
-def test_dispatcher_backends(hard_square2, hard_square1):
-    assert count_patterns(hard_square2, 3, "dfs") == 63
-    assert count_patterns(hard_square2, 3, "transfer") == 63
-    assert count_patterns(hard_square2, 3, "auto") == 63
-    assert count_patterns(hard_square1, 4, "transfer") == count_patterns_dfs(
-        hard_square1, 4
-    )
-    with pytest.raises(ValueError):
-        count_patterns(hard_square2, 3, "spectral")
+def test_count_patterns_dispatch_by_dimension(
+    monkeypatch, hard_square1, hard_square2, hard_square3
+):
+    import sftbounds.transfer as transfer_mod
+
+    used = []
+
+    def spy(name):
+        real = getattr(transfer_mod, name)
+
+        def wrapper(model, n, *args):
+            used.append((name, model.dimension))
+            return real(model, n, *args)
+
+        monkeypatch.setattr(transfer_mod, name, wrapper)
+
+    spy("count_patterns_dfs")
+    spy("count_via_transfer")
+    assert count_patterns(hard_square1, 4) == count_patterns_dfs(hard_square1, 4)
+    assert count_patterns(hard_square2, 3) == 63
+    assert count_patterns(hard_square3, 2) == 35
+    assert used == [
+        ("count_patterns_dfs", 1),
+        ("count_via_transfer", 2),
+        ("count_via_transfer", 3),
+    ]
