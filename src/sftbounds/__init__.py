@@ -29,13 +29,8 @@ from .enumeration import (
     count_by_state,
     count_patterns_dfs,
     enumerate_patterns,
-    oracle_count_naive,
 )
 from .transfer import (
-    SliceStateSpace,
-    TransitionStructure,
-    build_slice_space,
-    build_transitions,
     count_patterns,
     count_via_transfer,
 )

@@ -33,8 +33,6 @@ from .enumeration import BudgetExceededError
 from .transfer import count_patterns
 from .gluing import verify_key_inequality
 
-DOUBLING_TOL = 1e-12
-EXACT_CHECK_BIT_LIMIT = 20_000_000
 DEFAULT_KEY_ENUM_CAP = 100_000
 
 
@@ -141,20 +139,15 @@ def verify_power_mean_bound(model: SftModel, n: int, c_n1: int, c_2n1: int) -> b
 
 
 def verify_doubling_monotonicity(
-    model: SftModel,
-    n: int,
-    c_n1: int,
-    c_2n1: int,
-    tol: float = DOUBLING_TOL,
+    model: SftModel, n: int, c_n1: int, c_2n1: int
 ) -> bool:
     """Check the lower-bound sequence increases from n to 2n:
 
         (C_{2n+1} / S^q_d(2n))^(1/(2n)^d)  >=  (C_{n+1} / S^q_d(n))^(1/n^d).
 
-    Compared exactly by clearing denominators while the integer powers
-    stay within a bit budget, in the log domain with an absolute
-    tolerance otherwise.  Zero counts on both sides are trivially true
-    (-inf >= -inf).
+    Compared exactly in integers, with both sides raised to the power
+    n^d (2n)^d times the common denominator of the exponents.  Zero counts
+    on both sides are trivially true (-inf >= -inf).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -164,24 +157,12 @@ def verify_doubling_monotonicity(
     if c_2n1 == 0:
         return False
     s = model.num_symbols
-    q_n = q_poly(d, n)
-    q_2n = q_poly(d, 2 * n)
-    e_rhs = q_n * (2 * n) ** d
-    e_lhs = q_2n * n ** d
+    e_rhs = q_poly(d, n) * (2 * n) ** d
+    e_lhs = q_poly(d, 2 * n) * n ** d
     denom = math.lcm(e_rhs.denominator, e_lhs.denominator)
-    bits = (
-        c_2n1.bit_length() * n ** d * denom
-        + c_n1.bit_length() * (2 * n) ** d * denom
-        + int(e_rhs + e_lhs) * denom * max(s.bit_length(), 1)
-    )
-    if bits <= EXACT_CHECK_BIT_LIMIT:
-        lhs = c_2n1 ** (n ** d * denom) * s ** int(e_rhs * denom)
-        rhs = c_n1 ** ((2 * n) ** d * denom) * s ** int(e_lhs * denom)
-        return lhs >= rhs
-    ln_s = math.log(s)
-    v_2n = (math.log(c_2n1) - float(q_2n) * ln_s) / (2 * n) ** d
-    v_n = (math.log(c_n1) - float(q_n) * ln_s) / n ** d
-    return v_2n >= v_n - tol
+    lhs = c_2n1 ** (n ** d * denom) * s ** int(e_rhs * denom)
+    rhs = c_n1 ** ((2 * n) ** d * denom) * s ** int(e_lhs * denom)
+    return lhs >= rhs
 
 
 def build_report(

@@ -13,7 +13,11 @@ interesting sizes).  Instead each vector-through-relation product is
 applied one slice cell at a time: live states are packed base-q integers
 holding the undecided suffix of the previous slice and the decided prefix
 of the next one, with exact integer weights.  After a full product the
-live states are again packed slices.
+live states are again packed slices.  The all-ones slice vector is the
+first such product, from an all-zeros previous slice with no last-axis
+constraint, so every vector of the walk comes from the same kernel.  Its
+size is the sub-model's C_n, which is counted and checked against the
+state budget before any product runs.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <(T^T)^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``.
@@ -21,104 +25,16 @@ A symmetric model (the paper's hypothesis) has ``T = T^T``, so the second
 vector is the first one itself, advanced once more when n-1 is odd: about
 half the products, on counts of about half the width.  A model built
 directly with an asymmetric last-axis relation walks the second vector
-from scratch with the transposed masks.  ``TransitionStructure`` still
-builds explicit adjacency lists for small instances, where tests
-cross-check the factored product against plain walk counting.
+from scratch with the transposed masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .models import SftModel, drop_last_axis
-from .enumeration import BudgetExceededError, count_patterns_dfs, enumerate_patterns
+from .enumeration import BudgetExceededError, count_patterns_dfs
 from .patterns import decode
 
 DEFAULT_STATE_BUDGET = 5_000_000
-DEFAULT_EDGE_BUDGET = 2_000_000
-
-
-@dataclass(frozen=True)
-class SliceStateSpace:
-    """All admissible slices for one (model, n), in lexicographic order."""
-
-    model: SftModel
-    n: int
-    slices: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.slices)}
-
-    def __len__(self) -> int:
-        return len(self.slices)
-
-
-@dataclass(frozen=True)
-class TransitionStructure:
-    """Adjacency lists of the slice transition relation along the last axis."""
-
-    space: SliceStateSpace
-    neighbors: tuple[tuple[int, ...], ...]
-
-
-def build_slice_space(
-    model: SftModel,
-    n: int,
-    node_budget: int | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> SliceStateSpace:
-    """Enumerate the admissible (d-1)-cube slices of side n."""
-    if model.dimension < 2:
-        raise ValueError("slice decomposition needs dimension >= 2")
-    sub = drop_last_axis(model)
-    slices = []
-    for p in enumerate_patterns(sub, n, node_budget):
-        slices.append(p.values)
-        if len(slices) > state_budget:
-            raise BudgetExceededError(
-                f"more than {state_budget} slices at side {n}"
-            )
-    return SliceStateSpace(model, n, tuple(slices))
-
-
-def build_transitions(
-    space: SliceStateSpace, edge_budget: int = DEFAULT_EDGE_BUDGET
-) -> TransitionStructure:
-    """Explicit adjacency lists; checks the relation is symmetric.
-
-    Quadratic in the slice count, so only for small instances; the
-    counting path never calls this.
-    """
-    model = space.model
-    allowed_last = model.allowed[model.dimension - 1]
-    slices = space.slices
-    m = len(slices)
-    if m * m > 4 * edge_budget:
-        raise BudgetExceededError(
-            f"{m}^2 slice pairs exceed the transition budget"
-        )
-    neighbors = []
-    edges = 0
-    for s1 in slices:
-        row = []
-        for j, s2 in enumerate(slices):
-            if all(allowed_last[a][b] for a, b in zip(s1, s2)):
-                row.append(j)
-                edges += 1
-                if edges > edge_budget:
-                    raise BudgetExceededError(
-                        f"more than {edge_budget} transitions at side {space.n}"
-                    )
-        neighbors.append(tuple(row))
-    for i, row in enumerate(neighbors):
-        for j in row:
-            if i not in neighbors[j]:
-                raise AssertionError(
-                    f"transition relation is not symmetric at pair ({i}, {j})"
-                )
-    return TransitionStructure(space, tuple(neighbors))
 
 
 def _phase_checks(model: SftModel, n: int):
@@ -141,13 +57,6 @@ def _phase_checks(model: SftModel, n: int):
                 cs.append((q ** (w - s_k), masks[k]))
         plans.append(tuple(cs))
     return plans
-
-
-def _pack(values: tuple[int, ...], q: int) -> int:
-    code = 0
-    for p, v in enumerate(values):
-        code += v * q ** p
-    return code
 
 
 def _transpose(masks: tuple[int, ...]) -> tuple[int, ...]:
@@ -218,18 +127,39 @@ def _advance(
     return dist
 
 
+def build_slice_space(
+    model: SftModel,
+    n: int,
+    phases: list,
+    node_budget: int | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> dict[int, int]:
+    """The all-ones vector over the admissible (d-1)-cube slices of side n.
+
+    It is the first product: an all-zeros previous slice pushed through the
+    relation with no last-axis constraint, so each admissible slice is
+    reached once, as a packed key with weight 1.  The slice count is the
+    sub-model's C_n, checked against ``state_budget`` before any product.
+    """
+    if model.dimension < 2:
+        raise ValueError("slice decomposition needs dimension >= 2")
+    sub = drop_last_axis(model)
+    if count_patterns(sub, n, node_budget, state_budget) > state_budget:
+        raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
+    free = (model.full_mask,) * model.num_symbols
+    return _advance(model, n, {0: 1}, free, phases, state_budget)
+
+
 def _walk(
     model: SftModel,
     n: int,
-    space: SliceStateSpace,
+    dist: dict[int, int],
     masks: tuple[int, ...],
     phases: list,
     steps: int,
     state_budget: int,
 ) -> dict[int, int]:
-    """The all-ones slice vector pushed through ``steps`` products."""
-    q = model.num_symbols
-    dist = {_pack(s, q): 1 for s in space.slices}
+    """The slice vector ``dist`` pushed through ``steps`` products."""
     for _ in range(steps):
         dist = _advance(model, n, dist, masks, phases, state_budget)
     return dist
@@ -241,21 +171,19 @@ def count_via_transfer(
     node_budget: int | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> int:
-    """Exact cube count via the slice decomposition (DFS when d = 1)."""
+    """Exact cube count via the slice decomposition; needs d >= 2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if model.dimension == 1:
-        return count_patterns_dfs(model, n, node_budget)
-    space = build_slice_space(model, n, node_budget, state_budget)
     phases = _phase_checks(model, n)
+    ones = build_slice_space(model, n, phases, node_budget, state_budget)
     forward = model.allowed_masks[model.dimension - 1]
     backward = _transpose(forward)
     a = (n - 1) // 2
-    v = _walk(model, n, space, forward, phases, a, state_budget)
+    v = _walk(model, n, ones, forward, phases, a, state_budget)
     if backward == forward:
         u = v  # T = T^T: T^a 1 is also the first a steps of T^b 1
     else:
-        u = _walk(model, n, space, backward, phases, a, state_budget)
+        u = _walk(model, n, ones, backward, phases, a, state_budget)
     if (n - 1) % 2:
         u = _advance(model, n, u, backward, phases, state_budget)
     get = u.get

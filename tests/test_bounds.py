@@ -154,19 +154,20 @@ def test_doubling_zero_counts_trivial():
     assert verify_doubling_monotonicity(model, 1, *check_counts(model, 1))
 
 
-def test_doubling_exact_and_float_paths_agree(hard_square2, coloring3_d2):
-    import sftbounds.bounds as bounds_mod
-
+def test_doubling_exact_on_instances_and_near_tie(hard_square2, coloring3_d2):
     for model, n in [(hard_square2, 1), (hard_square2, 2), (coloring3_d2, 1)]:
-        counts = check_counts(model, n)
-        exact = verify_doubling_monotonicity(model, n, *counts)
-        original = bounds_mod.EXACT_CHECK_BIT_LIMIT
-        bounds_mod.EXACT_CHECK_BIT_LIMIT = 0
-        try:
-            via_float = verify_doubling_monotonicity(model, n, *counts)
-        finally:
-            bounds_mod.EXACT_CHECK_BIT_LIMIT = original
-        assert exact == via_float
+        assert verify_doubling_monotonicity(model, n, *check_counts(model, n))
+    # hard-square n = 4 holds iff C_9 >= C_5^4 / 2^27 = 70421023089.37;
+    # at the largest failing value the log-domain lower bounds differ by
+    # about -8e-14, inside any tolerance a float comparison could use
+    c5 = count_patterns(hard_square2, 5)
+    assert c5 == 55447
+    tie = 70421023089
+    assert not verify_doubling_monotonicity(hard_square2, 4, c5, tie)
+    assert verify_doubling_monotonicity(hard_square2, 4, c5, tie + 1)
+    v_8 = (math.log(tie) - float(q_poly(2, 8)) * math.log(2)) / 8 ** 2
+    v_4 = (math.log(c5) - float(q_poly(2, 4)) * math.log(2)) / 4 ** 2
+    assert -1e-12 < v_8 - v_4 < 0
 
 
 def test_build_report_hard_square(hard_square2):

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from sftbounds.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +178,26 @@ def test_exit_budget_on_node_limit(capsys):
     )
     assert code == 2
     assert "budget" in err.lower() or "resource" in err.lower()
+
+
+def test_exit_budget_on_slice_count_before_building_slices(capsys):
+    # hard-square d = 2 C_6 = 5,598,861 slices, over the 5M state budget
+    code, _, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "3", "count", "--n", "6",
+    )
+    assert code == 2
+    assert "more than 5000000 slices at side 6" in err
+
+
+def test_cli_imports_without_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sftbounds.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_backend_flag_is_a_usage_error(capsys):

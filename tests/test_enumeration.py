@@ -12,12 +12,12 @@ from sftbounds import (
     count_patterns_dfs,
     enumerate_patterns,
     is_locally_admissible,
-    oracle_count_naive,
     sample_admissible,
     surface_state,
 )
 
 from conftest import brute_force_count, forbid_axis_model, full_shift
+from oracle import oracle_count_naive
 
 
 def test_hard_square_small_counts(hard_square2):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,24 +7,89 @@ from sftbounds import (
     Alphabet,
     BudgetExceededError,
     SftModel,
-    build_slice_space,
-    build_transitions,
     builtin_model,
     count_patterns,
     count_patterns_dfs,
     count_via_transfer,
+    enumerate_patterns,
 )
 from sftbounds.models import drop_last_axis
-from sftbounds.transfer import DEFAULT_STATE_BUDGET, _advance, _pack, _phase_checks
+from sftbounds.transfer import (
+    DEFAULT_STATE_BUDGET,
+    _advance,
+    _phase_checks,
+    build_slice_space,
+)
 
 from conftest import forbid_axis_model, full_shift
+
+DEFAULT_EDGE_BUDGET = 2_000_000
+
+
+def slice_vector(model, n):
+    """The all-ones slice vector as the transfer builds it."""
+    return build_slice_space(model, n, _phase_checks(model, n))
+
+
+def enumerated_slices(model, n):
+    """The admissible slices from the DFS over the sub-model, in order."""
+    return tuple(p.values for p in enumerate_patterns(drop_last_axis(model), n))
+
+
+def pack(values, q):
+    """A slice as the transfer's packed key: cell p is base-q digit p."""
+    return sum(v * q ** p for p, v in enumerate(values))
+
+
+@dataclass(frozen=True)
+class TransitionStructure:
+    """Adjacency lists of the slice transition relation along the last axis."""
+
+    slices: tuple[tuple[int, ...], ...]
+    neighbors: tuple[tuple[int, ...], ...]
+
+
+def build_transitions(
+    model, n, edge_budget: int = DEFAULT_EDGE_BUDGET
+) -> TransitionStructure:
+    """Explicit adjacency lists over the enumerated slices; checks the
+    relation is symmetric.
+
+    Quadratic in the slice count, so only for small instances.
+    """
+    allowed_last = model.allowed[model.dimension - 1]
+    slices = enumerated_slices(model, n)
+    m = len(slices)
+    if m * m > 4 * edge_budget:
+        raise BudgetExceededError(
+            f"{m}^2 slice pairs exceed the transition budget"
+        )
+    neighbors = []
+    edges = 0
+    for s1 in slices:
+        row = []
+        for j, s2 in enumerate(slices):
+            if all(allowed_last[a][b] for a, b in zip(s1, s2)):
+                row.append(j)
+                edges += 1
+                if edges > edge_budget:
+                    raise BudgetExceededError(
+                        f"more than {edge_budget} transitions at side {n}"
+                    )
+        neighbors.append(tuple(row))
+    for i, row in enumerate(neighbors):
+        for j in row:
+            if i not in neighbors[j]:
+                raise AssertionError(
+                    f"transition relation is not symmetric at pair ({i}, {j})"
+                )
+    return TransitionStructure(slices, tuple(neighbors))
 
 
 def walk_count(model, n):
     """Independent walk counting over explicit adjacency lists."""
-    space = build_slice_space(model, n)
-    trans = build_transitions(space)
-    vec = [1] * len(space)
+    trans = build_transitions(model, n)
+    vec = [1] * len(trans.slices)
     for _ in range(n - 1):
         vec = [sum(vec[i] for i in row) for row in trans.neighbors]
     return sum(vec)
@@ -30,27 +97,17 @@ def walk_count(model, n):
 
 def full_walk_count(model, n):
     """The full (n-1)-step factored walk, with no half-walk split."""
-    space = build_slice_space(model, n)
-    q = model.num_symbols
     masks = model.allowed_masks[model.dimension - 1]
     phases = _phase_checks(model, n)
-    dist = {_pack(s, q): 1 for s in space.slices}
+    dist = slice_vector(model, n)
     for _ in range(n - 1):
         dist = _advance(model, n, dist, masks, phases, DEFAULT_STATE_BUDGET)
     return sum(dist.values())
 
 
 def test_slice_space_hard_square_n3(hard_square2):
-    space = build_slice_space(hard_square2, 3)
-    assert set(space.slices) == {
-        (0, 0, 0),
-        (0, 0, 1),
-        (0, 1, 0),
-        (1, 0, 0),
-        (1, 0, 1),
-    }
-    assert list(space.slices) == sorted(space.slices)
-    assert space.index[(0, 1, 0)] == space.slices.index((0, 1, 0))
+    slices = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+    assert slice_vector(hard_square2, 3) == {pack(s, 2): 1 for s in slices}
 
 
 def test_slice_space_size_equals_reduced_count(hard_square2, hard_square3, coloring3_d2):
@@ -60,25 +117,61 @@ def test_slice_space_size_equals_reduced_count(hard_square2, hard_square3, color
         (hard_square3, 3),
         (coloring3_d2, 3),
     ]:
-        space = build_slice_space(model, n)
-        assert len(space) == count_patterns_dfs(drop_last_axis(model), n)
+        assert len(slice_vector(model, n)) == count_patterns_dfs(drop_last_axis(model), n)
 
 
 def test_slice_space_full_shift():
     model = full_shift(2, 2)
-    assert len(build_slice_space(model, 4)) == 2 ** 4
+    assert len(slice_vector(model, 4)) == 2 ** 4
 
 
 def test_slice_space_requires_d2(hard_square1):
     with pytest.raises(ValueError):
-        build_slice_space(hard_square1, 3)
+        slice_vector(hard_square1, 3)
+
+
+def test_slice_space_matches_enumerated_slices(hard_square2, hard_square3, coloring3_d2):
+    # the first product against the DFS over the sub-model
+    cases = (
+        [(hard_square2, n) for n in range(1, 9)]
+        + [(hard_square3, n) for n in range(1, 4)]
+        + [(coloring3_d2, n) for n in range(1, 6)]
+        + [(model, n) for model in asymmetric_models() for n in range(1, 5)]
+        + [(builtin_model("coloring", 2, 17), 2)]
+    )
+    for model, n in cases:
+        q = model.num_symbols
+        expected = {pack(s, q): 1 for s in enumerated_slices(model, n)}
+        assert slice_vector(model, n) == expected
+
+
+def test_slice_budget_refused_before_any_product(
+    monkeypatch, hard_square2, hard_square3
+):
+    import sftbounds.transfer as transfer_mod
+
+    real = transfer_mod._advance
+    dims = []
+
+    def spy(model, *args):
+        dims.append(model.dimension)
+        return real(model, *args)
+
+    monkeypatch.setattr(transfer_mod, "_advance", spy)
+    # F(8) = 21 slices at side 6 in d = 2; C_3 = 63 slices at side 3 in d = 3
+    with pytest.raises(BudgetExceededError, match="more than 20 slices at side 6"):
+        count_via_transfer(hard_square2, 6, state_budget=20)
+    assert dims == []
+    with pytest.raises(BudgetExceededError, match="more than 62 slices at side 3"):
+        count_via_transfer(hard_square3, 3, state_budget=62)
+    # only the d = 2 sub-model count ran products
+    assert dims and set(dims) == {2}
 
 
 def test_transitions_hard_square_n2(hard_square2):
-    space = build_slice_space(hard_square2, 2)
-    trans = build_transitions(space)
+    trans = build_transitions(hard_square2, 2)
     by_slice = {
-        space.slices[i]: {space.slices[j] for j in row}
+        trans.slices[i]: {trans.slices[j] for j in row}
         for i, row in enumerate(trans.neighbors)
     }
     assert by_slice[(0, 0)] == {(0, 0), (0, 1), (1, 0)}
@@ -88,16 +181,15 @@ def test_transitions_hard_square_n2(hard_square2):
 
 def test_transitions_symmetric(hard_square2, coloring3_d2):
     for model, n in [(hard_square2, 3), (coloring3_d2, 2)]:
-        trans = build_transitions(build_slice_space(model, n))
+        trans = build_transitions(model, n)
         for i, row in enumerate(trans.neighbors):
             for j in row:
                 assert i in trans.neighbors[j]
 
 
 def test_transitions_budget(hard_square2):
-    space = build_slice_space(hard_square2, 6)
     with pytest.raises(BudgetExceededError):
-        build_transitions(space, edge_budget=10)
+        build_transitions(hard_square2, 6, edge_budget=10)
 
 
 def forbid_last_axis_model(q=2):
@@ -176,9 +268,11 @@ def test_transfer_asymmetric_last_axis():
 
 def test_transfer_d1_delegates(hard_square1):
     for n in range(1, 8):
-        assert count_via_transfer(hard_square1, n) == count_patterns_dfs(
+        assert count_patterns(hard_square1, n) == count_patterns_dfs(
             hard_square1, n
         )
+    with pytest.raises(ValueError):
+        count_via_transfer(hard_square1, 3)
 
 
 @st.composite
@@ -254,8 +348,13 @@ def test_count_patterns_dispatch_by_dimension(
     assert count_patterns(hard_square1, 4) == count_patterns_dfs(hard_square1, 4)
     assert count_patterns(hard_square2, 3) == 63
     assert count_patterns(hard_square3, 2) == 35
+    # each transfer first counts its slices on the sub-model, one
+    # dimension down, through the same dispatcher
     assert used == [
         ("count_patterns_dfs", 1),
         ("count_via_transfer", 2),
+        ("count_patterns_dfs", 1),
         ("count_via_transfer", 3),
+        ("count_via_transfer", 2),
+        ("count_patterns_dfs", 1),
     ]
