@@ -169,7 +169,6 @@ def build_report(
     model: SftModel,
     n_max: int,
     node_budget: int | None = None,
-    key_enum_cap: int = DEFAULT_KEY_ENUM_CAP,
 ) -> ConvergenceReport:
     """Bracket rows for n = 1..n_max with every check the counts support.
 
@@ -199,7 +198,7 @@ def build_report(
                 )
         c_n = counts[n]
         c_glued = counts.get(2 * n - 1)
-        if c_n is not None and c_n <= key_enum_cap and c_glued is not None:
+        if c_n is not None and c_n <= DEFAULT_KEY_ENUM_CAP and c_glued is not None:
             _, _, row.checks.key_inequality = verify_key_inequality(
                 model, n, c_glued, node_budget
             )

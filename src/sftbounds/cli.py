@@ -29,6 +29,7 @@ from .gluing import (
     GlueError,
     GlueInput,
     glue,
+    glue_single,
     periodic_core,
     tiling_witness,
     verify_key_inequality,
@@ -198,6 +199,8 @@ def _fmt_bound(x, scale: float) -> str:
 
 
 def cmd_bounds(model: SftModel, cfg: RunConfig) -> int:
+    if cfg.n_max < 1:
+        raise CliError(EXIT_USAGE, "bounds needs --n-max >= 1")
     report = build_report(model, cfg.n_max, cfg.node_budget)
     if cfg.fmt == "json":
         print(json.dumps(report_to_json_dict(report, cfg.log_base), indent=2))
@@ -220,6 +223,8 @@ def cmd_bounds(model: SftModel, cfg: RunConfig) -> int:
 def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
     if cfg.n < 2:
         raise CliError(EXIT_USAGE, "verify needs --n >= 2")
+    if cfg.samples < 1:
+        raise CliError(EXIT_USAGE, "verify needs --samples >= 1")
     n = cfg.n
     d = model.dimension
     results = []
@@ -267,7 +272,7 @@ def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
         if not is_locally_admissible(model, glued):
             sample_ok = False
             break
-        single = glue(GlueInput(model, (group[0],) * (1 << d)))
+        single = glue_single(model, group[0])
         core = periodic_core(model, single)
         if not is_locally_admissible(model, tiling_witness(model, core)):
             sample_ok = False
@@ -308,7 +313,7 @@ def cmd_glue_demo(model: SftModel, cfg: RunConfig) -> int:
     print(format_pattern(glued, alphabet))
     glued_ok = is_locally_admissible(model, glued)
 
-    single = glue(GlueInput(model, (group[0],) * (1 << d)))
+    single = glue_single(model, group[0])
     core = periodic_core(model, single)
     print("# periodic core (from block 0 glued with itself)")
     print(format_pattern(core, alphabet))

@@ -1,8 +1,8 @@
 """Seeded sampling of admissible patterns and same-state pattern groups.
 
-Used by the gluing demos and the property tests.  Everything is driven by
-a caller-supplied ``random.Random``, so identical seeds give identical
-draws.
+Every draw is one randomized backtracking search, with some cells pinned
+or none, driven by a caller-supplied ``random.Random``, so identical seeds
+give identical draws.  Used by the gluing demos and the property tests.
 """
 
 from __future__ import annotations
@@ -11,14 +11,9 @@ import random
 
 from .models import SftModel
 from .patterns import CubePattern, SurfaceState, surface_indices, surface_state
-from .enumeration import (
-    BudgetExceededError,
-    _cell_checks,
-    enumerate_patterns,
-)
+from .enumeration import _cell_checks
 
 DEFAULT_ATTEMPT_BUDGET = 200_000
-DEFAULT_GROUP_ENUM_CAP = 100_000
 
 
 class SamplingError(RuntimeError):
@@ -30,7 +25,6 @@ def _randomized_completion(
     n: int,
     rng: random.Random,
     fixed: dict[int, int] | None = None,
-    attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
 ) -> CubePattern:
     """Backtracking DFS with shuffled value order; cells in ``fixed`` are
     pinned to the given ids.  Raises SamplingError when the budget runs
@@ -41,7 +35,7 @@ def _randomized_completion(
     vfm = model.values_for_mask
     full = model.full_mask
     fixed = fixed or {}
-    budget = attempt_budget
+    budget = DEFAULT_ATTEMPT_BUDGET
 
     buf = [0] * cells
     cand: list[list[int]] = [[] for _ in range(cells)]
@@ -71,7 +65,7 @@ def _randomized_completion(
         budget -= 1
         if budget < 0:
             raise SamplingError(
-                f"no admissible pattern found within {attempt_budget} steps"
+                f"no admissible pattern found within {DEFAULT_ATTEMPT_BUDGET} steps"
             )
         if depth + 1 == cells:
             return CubePattern(n, d, tuple(buf))
@@ -81,67 +75,45 @@ def _randomized_completion(
     raise SamplingError(f"model admits no side-{n} pattern")
 
 
-def sample_admissible(
-    model: SftModel,
-    n: int,
-    rng: random.Random,
-    attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
-) -> CubePattern:
+def sample_admissible(model: SftModel, n: int, rng: random.Random) -> CubePattern:
     """One admissible pattern, chosen by randomized backtracking search."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _randomized_completion(model, n, rng, None, attempt_budget)
+    return _randomized_completion(model, n, rng)
 
 
 def sample_with_state(
-    model: SftModel,
-    state: SurfaceState,
-    rng: random.Random,
-    attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
+    model: SftModel, state: SurfaceState, rng: random.Random
 ) -> CubePattern:
     """One admissible pattern whose boundary state equals ``state``."""
     surf = surface_indices(state.n, state.d)
     fixed = dict(zip(surf, state.cells))
-    p = _randomized_completion(model, state.n, rng, fixed, attempt_budget)
+    p = _randomized_completion(model, state.n, rng, fixed)
     if surface_state(p) != state:
         raise AssertionError("completion does not realize the requested state")
     return p
 
 
 def sample_same_state_group(
-    model: SftModel,
-    n: int,
-    count: int,
-    rng: random.Random,
-    enum_cap: int = DEFAULT_GROUP_ENUM_CAP,
-    attempt_budget: int = DEFAULT_ATTEMPT_BUDGET,
+    model: SftModel, n: int, count: int, rng: random.Random
 ) -> list[CubePattern]:
     """``count`` admissible patterns sharing one boundary state.
 
-    Small instances enumerate all patterns and draw (with replacement)
-    from the group of a randomly chosen pattern, so every reachable state
-    can occur.  Larger instances pin the state of one sampled pattern and
-    complete the interior by randomized search.
+    A free draw (the anchor), then ``count - 1`` completions pinned to its
+    state.  This loses nothing against enumerating all side-n patterns and
+    grouping them by state.  The pinned search visits only admissible
+    prefixes that agree with the pins; each is a node of the unpinned
+    enumeration tree and costs one step.  The anchor proves a completion
+    exists, so a completion never costs more steps than that enumeration.
+    A model with no side-n pattern raises ``SamplingError``, and every
+    admissible pattern can be the anchor, so every realized state can be
+    drawn.  Draws are not uniform within a group.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    patterns = None
-    try:
-        patterns = list(enumerate_patterns(model, n, node_budget=enum_cap))
-    except BudgetExceededError:
-        patterns = None
-    if patterns is not None:
-        if not patterns:
-            raise SamplingError(f"model admits no side-{n} pattern")
-        groups: dict[SurfaceState, list[CubePattern]] = {}
-        for p in patterns:
-            groups.setdefault(surface_state(p), []).append(p)
-        anchor = surface_state(patterns[rng.randrange(len(patterns))])
-        pool = groups[anchor]
-        return [pool[rng.randrange(len(pool))] for _ in range(count)]
-    anchor_pattern = sample_admissible(model, n, rng, attempt_budget)
+    anchor_pattern = sample_admissible(model, n, rng)
     anchor = surface_state(anchor_pattern)
     out = [anchor_pattern]
     while len(out) < count:
-        out.append(sample_with_state(model, anchor, rng, attempt_budget))
+        out.append(sample_with_state(model, anchor, rng))
     return out

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from sftbounds.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -117,6 +119,25 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert all(check["pass"] for check in doc["checks"])
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_samples_below_one(capsys, samples):
+    code, out, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2",
+        "verify", "--n", "2", "--samples", samples,
+    )
+    assert code == 1
+    assert "--samples" in err
+    assert "PASS" not in out
+
+
+def test_bounds_rejects_n_max_below_one(capsys):
+    code, _, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "bounds", "--n-max", "0",
+    )
+    assert code == 1
+    assert "--n-max" in err
 
 
 def test_glue_demo_deterministic(capsys):
