@@ -33,8 +33,6 @@ from .enumeration import BudgetExceededError
 from .transfer import count_patterns
 from .gluing import verify_key_inequality
 
-DEFAULT_KEY_ENUM_CAP = 100_000
-
 
 def q_poly(d: int, n: int) -> Fraction:
     """The correction polynomial q_d(n), exact."""
@@ -174,9 +172,9 @@ def build_report(
 
     Each row carries exact counts, the bracket, and the gap bound; the
     per-row checks are filled in whenever they only need counts up to
-    n_max + 1 (and, for the state-resolved inequality, a per-state table
-    small enough to enumerate).  A count that exceeds its budget marks
-    the row unavailable instead of aborting the report.
+    n_max + 1 (the state-resolved inequality also needs the per-state
+    table of side n).  A count or table that exceeds its budget marks
+    that piece unavailable instead of aborting the report.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -196,12 +194,14 @@ def build_report(
                 row.checks.doubling = verify_doubling_monotonicity(
                     model, n, c_n1, c_2n1
                 )
-        c_n = counts[n]
         c_glued = counts.get(2 * n - 1)
-        if c_n is not None and c_n <= DEFAULT_KEY_ENUM_CAP and c_glued is not None:
-            _, _, row.checks.key_inequality = verify_key_inequality(
-                model, n, c_glued, node_budget
-            )
+        if counts[n] is not None and c_glued is not None:
+            try:
+                _, _, row.checks.key_inequality = verify_key_inequality(
+                    model, n, c_glued, node_budget
+                )
+            except BudgetExceededError:
+                pass
         rows.append(row)
     return ConvergenceReport(model, rows)
 

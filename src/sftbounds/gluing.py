@@ -26,7 +26,7 @@ from .patterns import (
     strides,
     surface_state,
 )
-from .enumeration import count_by_state
+from .transfer import state_counts
 
 
 class GlueError(ValueError):
@@ -200,12 +200,14 @@ def verify_key_inequality(
 
         C_{2n-1}  >=  sum over states s of (C_n^(s)) ** (2^d),
 
-    with ``c_glued`` = C_{2n-1}.  Returns (lhs, rhs, lhs >= rhs); a False
-    is a bug signal, not a mathematical possibility.
+    with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``:
+    the shell-keyed slice walk for d >= 2, the DFS for d = 1.  Returns
+    (lhs, rhs, lhs >= rhs); a False is a bug signal, not a mathematical
+    possibility.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    table = count_by_state(model, n, node_budget)
+    table = state_counts(model, n, node_budget)
     p = 1 << model.dimension
     rhs = sum(c ** p for c in table.values())
     return c_glued, rhs, c_glued >= rhs

@@ -1,6 +1,8 @@
 """Exact slice-transfer counting for d >= 2, and the package's one
 counting entry point ``count_patterns``: it counts with the DFS of
 ``enumeration`` for d = 1 and with the slice transfer below for d >= 2.
+The per-state counts C_n^(s) of the key inequality come from
+``state_counts``, on the same products.
 
 A side-n cube is a stack of n slices along the last axis.  A slice is a
 (d-1)-cube of side n that is internally admissible for axes 1..d-1; two
@@ -26,12 +28,22 @@ vector is the first one itself, advanced once more when n-1 is odd: about
 half the products, on counts of about half the width.  A model built
 directly with an asymmetric last-axis relation walks the second vector
 from scratch with the transposed masks.
+
+``state_counts`` resolves the same walk by boundary state, for the key
+inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
+some coordinate n-1) is the last slice plus, in every earlier slice, the
+cells with some ``y_k = n-1`` for k < d.  So the slice vectors are kept
+grouped by the shell digits the walk has passed: before each product a
+group is split by the current slice's shell digits, and each part is
+pushed through the same full (not halved) product.  After n-1 products a
+(shell prefix, last slice) key is one boundary state, and its weight is
+the number of patterns with that state.
 """
 
 from __future__ import annotations
 
 from .models import SftModel, drop_last_axis
-from .enumeration import BudgetExceededError, count_patterns_dfs
+from .enumeration import BudgetExceededError, count_by_state, count_patterns_dfs
 from .patterns import decode
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -188,6 +200,58 @@ def count_via_transfer(
         u = _advance(model, n, u, backward, phases, state_budget)
     get = u.get
     return sum(c * get(k, 0) for k, c in v.items())
+
+
+def state_counts(
+    model: SftModel,
+    n: int,
+    node_budget: int | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> dict:
+    """Exact pattern count per realized boundary state; values sum to C_n.
+
+    For d = 1 this is ``count_by_state``, keyed by ``SurfaceState``.  For
+    d >= 2 it is the shell-keyed slice walk, keyed by (prefix, last
+    slice): the last slice is packed as in the transfer, and the prefix
+    holds, for slices 0..n-2 in turn, the digits of that slice's shell
+    cells in ascending cell order, as one base-q integer (slice 0 most
+    significant).  The keys are one-to-one with the realized states; the
+    caller that only needs the values never decodes them.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if model.dimension == 1:
+        return count_by_state(model, n, node_budget)
+    d = model.dimension
+    q = model.num_symbols
+    phases = _phase_checks(model, n)
+    forward = model.allowed_masks[d - 1]
+    # q^p for each slice cell p on the shell, ascending
+    shell = [q ** p for p in range(n ** (d - 1)) if n - 1 in decode(p, n, d - 1)]
+    groups = {0: build_slice_space(model, n, phases, node_budget, state_budget)}
+    for _ in range(n - 1):
+        parts: dict[int, dict[int, int]] = {}
+        for prefix, dist in groups.items():
+            for s, c in dist.items():
+                key = prefix
+                for div in shell:
+                    key = key * q + s // div % q
+                part = parts.get(key)
+                if part is None:
+                    parts[key] = part = {}
+                part[s] = c
+        groups = {}
+        total = 0
+        for key, part in parts.items():
+            groups[key] = _advance(model, n, part, forward, phases, state_budget)
+            total += len(groups[key])
+        if total > state_budget:
+            raise BudgetExceededError(
+                f"more than {state_budget} boundary-state keys at side {n}"
+            )
+    return {
+        (prefix, s): c for prefix, dist in groups.items() for s, c in dist.items()
+    }
 
 
 def count_patterns(

@@ -121,8 +121,11 @@ def test_criterion_3_bracket_validity(hs2_report):
         _bracket_rows_valid(build_report(single_symbol_forced(), 4))
 
 
-def test_criterion_4_key_inequality_exact():
+def test_criterion_4_key_inequality_exact(hs2_report):
     with criterion(4, "state-resolved count inequality (exact integers)"):
+        # checked on every row whose C_{2n-1} the report holds: n <= 11
+        flags = [row.checks.key_inequality for row in hs2_report.rows]
+        assert flags == [True] * 11 + [None] * 9
         hs2 = builtin_model("hard-square", 2)
         for n in (2, 3, 4):
             lhs = count_patterns(hs2, 2 * n - 1)

@@ -182,6 +182,29 @@ def test_build_report_hard_square(hard_square2):
     assert report.doubling_checks() == [(1, True)]
 
 
+def test_report_key_inequality_on_every_row_with_c_glued(hard_square2):
+    # C_{2n-1} is in a report with n_max 14 for n <= 8
+    report = build_report(hard_square2, 14)
+    flags = [r.checks.key_inequality for r in report.rows]
+    assert flags == [True] * 8 + [None] * 6
+
+
+def test_report_key_check_over_budget_leaves_the_rest(monkeypatch, hard_square2):
+    import sftbounds.bounds as bounds_mod
+    from sftbounds import BudgetExceededError
+
+    def over_budget(*args):
+        raise BudgetExceededError("per-state table over budget")
+
+    monkeypatch.setattr(bounds_mod, "verify_key_inequality", over_budget)
+    report = build_report(hard_square2, 3)
+    assert [r.c_n for r in report.rows] == [2, 7, 63]
+    assert report.rows[2].c_n_plus_1 == 1234
+    assert report.rows[0].checks.power_mean is True
+    assert report.rows[0].checks.doubling is True
+    assert [r.checks.key_inequality for r in report.rows] == [None] * 3
+
+
 def test_report_bracket_consistency(hard_square2, coloring3_d2):
     for model in (hard_square2, coloring3_d2):
         report = build_report(model, 5)

@@ -201,6 +201,18 @@ def test_exit_budget_on_node_limit(capsys):
     assert "budget" in err.lower() or "resource" in err.lower()
 
 
+def test_bounds_within_node_budget_fills_every_row(capsys):
+    # every count fits in 2000 nodes; the per-state table must not abort
+    code, out, _ = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "--node-budget", "2000",
+        "--format", "json", "bounds", "--n-max", "6",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == [1, 2, 3, 4, 5, 6]
+    assert [r["checks"]["key_inequality"] for r in rows] == [True] * 4 + [None] * 2
+
+
 def test_exit_budget_on_slice_count_before_building_slices(capsys):
     # hard-square d = 2 C_6 = 5,598,861 slices, over the 5M state budget
     code, _, err = run_cli(

@@ -7,21 +7,25 @@ from sftbounds import (
     Alphabet,
     BudgetExceededError,
     SftModel,
+    SurfaceState,
     builtin_model,
+    count_by_state,
     count_patterns,
     count_patterns_dfs,
     count_via_transfer,
     enumerate_patterns,
 )
 from sftbounds.models import drop_last_axis
+from sftbounds.patterns import decode, surface_indices
 from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
     _advance,
     _phase_checks,
     build_slice_space,
+    state_counts,
 )
 
-from conftest import forbid_axis_model, full_shift
+from conftest import forbid_axis_model, full_shift, single_symbol_forced
 
 DEFAULT_EDGE_BUDGET = 2_000_000
 
@@ -358,3 +362,97 @@ def test_count_patterns_dispatch_by_dimension(
         ("count_via_transfer", 2),
         ("count_patterns_dfs", 1),
     ]
+
+
+def decode_states(model, n, table):
+    """The shell-keyed table of ``state_counts`` re-keyed by SurfaceState.
+
+    A key is (prefix, last slice).  The prefix lists, for slices 0..n-2,
+    that slice's shell digits in ascending cell order as one base-q
+    integer, slice 0 most significant; cell p of slice j is cube cell
+    p * n + j.
+    """
+    d, q = model.dimension, model.num_symbols
+    w = n ** (d - 1)
+    shell = [p for p in range(w) if n - 1 in decode(p, n, d - 1)]
+    out = {}
+    for (prefix, last), c in table.items():
+        cells = {}
+        for j in range(n - 2, -1, -1):
+            for p in reversed(shell):
+                prefix, cells[p * n + j] = divmod(prefix, q)
+        assert prefix == 0
+        for p in range(w):
+            last, cells[p * n + n - 1] = divmod(last, q)
+        state = SurfaceState(n, d, tuple(cells[i] for i in surface_indices(n, d)))
+        assert state not in out
+        out[state] = c
+    return out
+
+
+def test_state_counts_match_dfs_per_state(hard_square2, hard_square3, coloring3_d2):
+    cases = (
+        [(hard_square2, n) for n in range(1, 6)]
+        + [(hard_square3, n) for n in range(1, 4)]
+        + [(coloring3_d2, n) for n in range(1, 6)]
+        + [(builtin_model("coloring", 3, 3), n) for n in range(1, 3)]
+        + [(model, n) for model in asymmetric_models() for n in range(1, 5)]
+        + [(builtin_model("coloring", 2, 17), 2)]
+    )
+    for d in (2, 3):
+        for model in (
+            full_shift(2, d),
+            full_shift(3, d),
+            forbid_axis_model(d),
+            single_symbol_forced(d),
+        ):
+            cases += [(model, n) for n in range(1, 4 if d == 2 else 3)]
+    for model, n in cases:
+        expected = count_by_state(model, n)
+        assert decode_states(model, n, state_counts(model, n)) == expected
+
+
+def test_state_counts_d1_is_the_dfs_table(hard_square1):
+    for n in range(1, 6):
+        assert state_counts(hard_square1, n) == count_by_state(hard_square1, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models_d2(), st.integers(1, 3))
+def test_state_counts_agree_with_dfs_random(model, n):
+    # at most 3^9 patterns, far under the DFS node budget
+    assert decode_states(model, n, state_counts(model, n)) == count_by_state(model, n)
+
+
+def test_state_counts_pinned_sizes(hard_square2, hard_square3, coloring3_d2):
+    # past the DFS's reach at test speed: 5.6M patterns at hard-square n=6
+    for model, n, states, total in [
+        (hard_square2, 6, 233, 5_598_861),
+        (coloring3_d2, 5, 768, 580_986),
+        (hard_square3, 3, 4_182, 70_633),
+    ]:
+        table = state_counts(model, n)
+        assert (len(table), sum(table.values())) == (states, total)
+        assert total == count_patterns(model, n)
+
+
+def test_state_counts_need_no_enumeration(monkeypatch, hard_square2):
+    import sftbounds.enumeration as enumeration_mod
+
+    real = enumeration_mod._admissible_assignments
+
+    def no_cube_search(model, n, node_budget):
+        # the 1-d slice count below the transfer still runs the DFS
+        if model.dimension >= 2:
+            raise AssertionError("side-n patterns were enumerated")
+        return real(model, n, node_budget)
+
+    monkeypatch.setattr(enumeration_mod, "_admissible_assignments", no_cube_search)
+    table = state_counts(hard_square2, 5)
+    assert sum(c ** 4 for c in table.values()) == 22_937_333_976_547
+
+
+def test_state_counts_budget(hard_square2):
+    # 89 boundary states at side 5, over a budget the 13 slices fit in
+    with pytest.raises(BudgetExceededError, match="boundary-state keys at side 5"):
+        state_counts(hard_square2, 5, state_budget=40)
