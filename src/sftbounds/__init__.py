@@ -24,12 +24,7 @@ from .patterns import (
     restrict,
     surface_state,
 )
-from .enumeration import (
-    BudgetExceededError,
-    count_by_state,
-    count_patterns_dfs,
-    enumerate_patterns,
-)
+from .enumeration import BudgetExceededError
 from .transfer import (
     count_patterns,
     count_via_transfer,

@@ -96,13 +96,6 @@ class ConvergenceReport:
     model: SftModel
     rows: list[BoundsRow]
 
-    def doubling_checks(self) -> list[tuple[int, bool]]:
-        return [
-            (row.n, row.checks.doubling)
-            for row in self.rows
-            if row.checks.doubling is not None
-        ]
-
 
 def entropy_bounds(
     model: SftModel, n: int, c_n: int | None, c_n1: int | None
@@ -163,11 +156,7 @@ def verify_doubling_monotonicity(
     return lhs >= rhs
 
 
-def build_report(
-    model: SftModel,
-    n_max: int,
-    node_budget: int | None = None,
-) -> ConvergenceReport:
+def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
     """Bracket rows for n = 1..n_max with every check the counts support.
 
     Each row carries exact counts, the bracket, and the gap bound; the
@@ -181,7 +170,7 @@ def build_report(
     counts: dict[int, int | None] = {}
     for n in range(1, n_max + 2):
         try:
-            counts[n] = count_patterns(model, n, node_budget)
+            counts[n] = count_patterns(model, n)
         except BudgetExceededError:
             counts[n] = None
     rows = []
@@ -198,7 +187,7 @@ def build_report(
         if counts[n] is not None and c_glued is not None:
             try:
                 _, _, row.checks.key_inequality = verify_key_inequality(
-                    model, n, c_glued, node_budget
+                    model, n, c_glued
                 )
             except BudgetExceededError:
                 pass

@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Subcommands: count, bounds, verify, glue-demo.  Global flags select the
-model (--model FILE or --builtin NAME[:PARAM] with --dim), the output
-format, seed, node budget and log base, and come before the subcommand,
-e.g.
+model (--model FILE, or --builtin NAME[:PARAM] with --dim), the output
+format, seed and log base, and come before the subcommand, e.g.
 
     sftbounds --builtin hard-square --dim 2 count --n 3
     sftbounds --builtin coloring:3 --dim 2 --format json bounds --n-max 6
@@ -74,7 +73,6 @@ class RunConfig:
     dim: int | None
     fmt: str
     seed: int
-    node_budget: int | None
     log_base: str
     n: int | None = None
     n_max: int | None = None
@@ -86,8 +84,10 @@ class RunConfig:
             raise CliError(
                 EXIT_USAGE, "exactly one of --model or --builtin is required"
             )
-        if args.node_budget is not None and args.node_budget < 1:
-            raise CliError(EXIT_USAGE, "--node-budget must be >= 1")
+        if args.model is not None and args.dim is not None:
+            raise CliError(
+                EXIT_USAGE, "--dim applies only to --builtin; a model file sets its own"
+            )
         return cls(
             command=args.command,
             model_path=args.model,
@@ -95,7 +95,6 @@ class RunConfig:
             dim=args.dim,
             fmt=args.format,
             seed=args.seed,
-            node_budget=args.node_budget,
             log_base=args.log_base,
             n=getattr(args, "n", None),
             n_max=getattr(args, "n_max", None),
@@ -112,11 +111,11 @@ class RunConfig:
                     EXIT_USAGE, f"cannot read {self.model_path}: {exc}"
                 ) from None
             return parse_model(text)
-        name, _, param = self.builtin.partition(":")
+        name, colon, param = self.builtin.partition(":")
         if self.dim is None:
             raise CliError(EXIT_USAGE, "--builtin requires --dim")
         q = None
-        if param:
+        if colon:
             try:
                 q = int(param)
             except ValueError:
@@ -147,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dim", type=int, help="dimension for --builtin")
     parser.add_argument("--format", choices=("human", "json", "csv"), default="human")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for demos")
-    parser.add_argument("--node-budget", type=int, default=None, metavar="N")
     parser.add_argument("--log-base", choices=("e", "2"), default="e")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -176,7 +174,7 @@ def cmd_count(model: SftModel, cfg: RunConfig) -> int:
         raise CliError(EXIT_USAGE, "need 1 <= --n <= --n-max")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        rows.append((n, count_patterns(model, n, cfg.node_budget)))
+        rows.append((n, count_patterns(model, n)))
     if cfg.fmt == "json":
         doc = {"counts": [{"n": n, "C_n": str(c)} for n, c in rows]}
         print(json.dumps(doc, indent=2))
@@ -201,7 +199,7 @@ def _fmt_bound(x, scale: float) -> str:
 def cmd_bounds(model: SftModel, cfg: RunConfig) -> int:
     if cfg.n_max < 1:
         raise CliError(EXIT_USAGE, "bounds needs --n-max >= 1")
-    report = build_report(model, cfg.n_max, cfg.node_budget)
+    report = build_report(model, cfg.n_max)
     if cfg.fmt == "json":
         print(json.dumps(report_to_json_dict(report, cfg.log_base), indent=2))
         return EXIT_OK
@@ -231,15 +229,15 @@ def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
 
     # C_{2n-1} and C_n serve all three checks: the power-mean and doubling
     # checks at m = n - 1 read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.
-    c_glued = count_patterns(model, 2 * n - 1, cfg.node_budget)
-    lhs, rhs, holds = verify_key_inequality(model, n, c_glued, cfg.node_budget)
+    c_glued = count_patterns(model, 2 * n - 1)
+    lhs, rhs, holds = verify_key_inequality(model, n, c_glued)
     results.append(
         (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
          f"sum_s C_{n}^(s)^{1 << d} = {rhs}", holds)
     )
 
     m = n - 1
-    c_n = count_patterns(model, n, cfg.node_budget)
+    c_n = count_patterns(model, n)
     s = model.num_symbols
     expo = (2 ** d - 1) * ((m + 1) ** d - m ** d)
     pm = verify_power_mean_bound(model, m, c_n, c_glued)

@@ -1,9 +1,16 @@
-"""Exact counting and streaming of locally admissible patterns.
+"""Depth-first enumeration of locally admissible patterns, and the
+budget error shared by every exact computation.
 
-The depth-first engine assigns cells in linear-index order, so each new
-cell is constrained only by its already-placed predecessor neighbors (at
-most one per axis); forbidden branches are pruned immediately.  Counts are
-plain Python integers, hence exact at any size.
+The package counts with the slice transfer (``transfer.count_patterns``);
+nothing in it runs this search.  ``count_patterns_dfs``,
+``enumerate_patterns`` and ``count_by_state`` are the independent
+reference the tests check the transfer against, and ``_cell_checks`` (the
+per-cell neighbor masks) is shared with the sampler.
+
+The search assigns cells in linear-index order, so each new cell is
+constrained only by its already-placed predecessor neighbors (at most one
+per axis); forbidden branches are pruned immediately.  Counts are plain
+Python integers, hence exact at any size.
 """
 
 from __future__ import annotations

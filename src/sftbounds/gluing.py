@@ -191,23 +191,19 @@ def extend_to_plus_one(model: SftModel, p: CubePattern) -> CubePattern:
 
 
 def verify_key_inequality(
-    model: SftModel,
-    n: int,
-    c_glued: int,
-    node_budget: int | None = None,
+    model: SftModel, n: int, c_glued: int
 ) -> tuple[int, int, bool]:
     """Exact check that the glued constructions are all distinct:
 
         C_{2n-1}  >=  sum over states s of (C_n^(s)) ** (2^d),
 
-    with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``:
-    the shell-keyed slice walk for d >= 2, the DFS for d = 1.  Returns
-    (lhs, rhs, lhs >= rhs); a False is a bug signal, not a mathematical
-    possibility.
+    with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``,
+    the shell-keyed slice walk.  Returns (lhs, rhs, lhs >= rhs); a False
+    is a bug signal, not a mathematical possibility.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    table = state_counts(model, n, node_budget)
+    table = state_counts(model, n)
     p = 1 << model.dimension
     rhs = sum(c ** p for c in table.values())
     return c_glued, rhs, c_glued >= rhs

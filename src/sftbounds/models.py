@@ -47,7 +47,7 @@ class Alphabet:
     def id_of(self, symbol: str) -> int:
         try:
             return self._index[symbol]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable JSON value
             raise ModelFormatError(f"unknown symbol {symbol!r}") from None
 
 
@@ -219,8 +219,11 @@ def model_from_doc(doc) -> SftModel:
                 raise ModelFormatError(f"axis {axis + 1}: {exc}") from None
             pairs.add((a, b))
         forbidden.append(frozenset(pairs))
+    closure = doc.get("symmetrize", False)
+    if not isinstance(closure, bool):
+        raise ModelFormatError("symmetrize must be true or false")
     model = SftModel(dimension, alphabet, tuple(forbidden))
-    if doc.get("symmetrize", False):
+    if closure:
         return symmetrize(model)
     violations = validate_symmetry(model)
     if violations:
@@ -250,6 +253,8 @@ def builtin_model(name: str, d: int, q: int | None = None) -> SftModel:
     if d < 1:
         raise ModelFormatError(f"dimension must be >= 1, got {d}")
     if name == "hard-square":
+        if q is not None:
+            raise ModelFormatError("hard-square takes no parameter")
         alphabet = Alphabet(("0", "1"))
         pairs = frozenset({(1, 1)})
         return SftModel(d, alphabet, (pairs,) * d)

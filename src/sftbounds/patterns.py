@@ -101,12 +101,6 @@ class SurfaceState:
                 f"{expected} cells, got {len(self.cells)}"
             )
 
-    def packed(self) -> bytes:
-        """Canonical byte serialization (one byte per cell, ids < 256)."""
-        if any(v > 255 for v in self.cells):
-            raise ValueError("byte serialization supports at most 256 symbols")
-        return bytes(self.cells)
-
 
 @lru_cache(maxsize=None)
 def surface_indices(n: int, d: int) -> tuple[int, ...]:

@@ -1,14 +1,14 @@
-"""Exact slice-transfer counting for d >= 2, and the package's one
-counting entry point ``count_patterns``: it counts with the DFS of
-``enumeration`` for d = 1 and with the slice transfer below for d >= 2.
-The per-state counts C_n^(s) of the key inequality come from
-``state_counts``, on the same products.
+"""Exact slice-transfer counting, and the package's one counting entry
+point ``count_patterns``.  The per-state counts C_n^(s) of the key
+inequality come from ``state_counts``, on the same products.
 
 A side-n cube is a stack of n slices along the last axis.  A slice is a
 (d-1)-cube of side n that is internally admissible for axes 1..d-1; two
 consecutive slices must be componentwise allowed along axis d.  The cube
 count is the number of length-n walks in that transition relation T:
-``C_n = 1^T T^(n-1) 1``.
+``C_n = 1^T T^(n-1) 1``.  In d = 1 a slice is one cell and T is the q x q
+matrix of allowed pairs (Calkin-Wilf's transfer matrix); the code below
+has no separate case for it.
 
 The relation is never materialized as an edge list (it is far too dense at
 interesting sizes).  Instead each vector-through-relation product is
@@ -17,9 +17,10 @@ holding the undecided suffix of the previous slice and the decided prefix
 of the next one, with exact integer weights.  After a full product the
 live states are again packed slices.  The all-ones slice vector is the
 first such product, from an all-zeros previous slice with no last-axis
-constraint, so every vector of the walk comes from the same kernel.  Its
-size is the sub-model's C_n, which is counted and checked against the
-state budget before any product runs.
+constraint, so every vector of the walk comes from the same kernel.  For
+d >= 2 its size is the sub-model's C_n, which is counted (by this same
+transfer, one dimension down) and checked against the state budget
+before any product runs.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <(T^T)^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``.
@@ -37,13 +38,14 @@ grouped by the shell digits the walk has passed: before each product a
 group is split by the current slice's shell digits, and each part is
 pushed through the same full (not halved) product.  After n-1 products a
 (shell prefix, last slice) key is one boundary state, and its weight is
-the number of patterns with that state.
+the number of patterns with that state.  In d = 1 no earlier slice has a
+shell cell, so every prefix is 0 and the key is the last cell's value.
 """
 
 from __future__ import annotations
 
 from .models import SftModel, drop_last_axis
-from .enumeration import BudgetExceededError, count_by_state, count_patterns_dfs
+from .enumeration import BudgetExceededError
 from .patterns import decode
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -143,20 +145,20 @@ def build_slice_space(
     model: SftModel,
     n: int,
     phases: list,
-    node_budget: int | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> dict[int, int]:
     """The all-ones vector over the admissible (d-1)-cube slices of side n.
 
     It is the first product: an all-zeros previous slice pushed through the
     relation with no last-axis constraint, so each admissible slice is
-    reached once, as a packed key with weight 1.  The slice count is the
-    sub-model's C_n, checked against ``state_budget`` before any product.
+    reached once, as a packed key with weight 1.  For d >= 2 the slice
+    count is the sub-model's C_n, checked against ``state_budget`` before
+    any product; in d = 1 the slices are the q symbols.
     """
-    if model.dimension < 2:
-        raise ValueError("slice decomposition needs dimension >= 2")
-    sub = drop_last_axis(model)
-    if count_patterns(sub, n, node_budget, state_budget) > state_budget:
+    if (
+        model.dimension > 1
+        and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
+    ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
     free = (model.full_mask,) * model.num_symbols
     return _advance(model, n, {0: 1}, free, phases, state_budget)
@@ -180,14 +182,13 @@ def _walk(
 def count_via_transfer(
     model: SftModel,
     n: int,
-    node_budget: int | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> int:
-    """Exact cube count via the slice decomposition; needs d >= 2."""
+    """Exact cube count via the slice decomposition."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     phases = _phase_checks(model, n)
-    ones = build_slice_space(model, n, phases, node_budget, state_budget)
+    ones = build_slice_space(model, n, phases, state_budget)
     forward = model.allowed_masks[model.dimension - 1]
     backward = _transpose(forward)
     a = (n - 1) // 2
@@ -205,30 +206,26 @@ def count_via_transfer(
 def state_counts(
     model: SftModel,
     n: int,
-    node_budget: int | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
-) -> dict:
+) -> dict[tuple[int, int], int]:
     """Exact pattern count per realized boundary state; values sum to C_n.
 
-    For d = 1 this is ``count_by_state``, keyed by ``SurfaceState``.  For
-    d >= 2 it is the shell-keyed slice walk, keyed by (prefix, last
-    slice): the last slice is packed as in the transfer, and the prefix
-    holds, for slices 0..n-2 in turn, the digits of that slice's shell
-    cells in ascending cell order, as one base-q integer (slice 0 most
-    significant).  The keys are one-to-one with the realized states; the
-    caller that only needs the values never decodes them.
+    The shell-keyed slice walk, keyed by (prefix, last slice): the last
+    slice is packed as in the transfer, and the prefix holds, for slices
+    0..n-2 in turn, the digits of that slice's shell cells in ascending
+    cell order, as one base-q integer (slice 0 most significant).  The
+    keys are one-to-one with the realized states; the caller that only
+    needs the values never decodes them.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if model.dimension == 1:
-        return count_by_state(model, n, node_budget)
     d = model.dimension
     q = model.num_symbols
     phases = _phase_checks(model, n)
     forward = model.allowed_masks[d - 1]
     # q^p for each slice cell p on the shell, ascending
     shell = [q ** p for p in range(n ** (d - 1)) if n - 1 in decode(p, n, d - 1)]
-    groups = {0: build_slice_space(model, n, phases, node_budget, state_budget)}
+    groups = {0: build_slice_space(model, n, phases, state_budget)}
     for _ in range(n - 1):
         parts: dict[int, dict[int, int]] = {}
         for prefix, dist in groups.items():
@@ -257,10 +254,7 @@ def state_counts(
 def count_patterns(
     model: SftModel,
     n: int,
-    node_budget: int | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> int:
-    """Exact C_n: DFS for d = 1, the slice transfer for d >= 2."""
-    if model.dimension == 1:
-        return count_patterns_dfs(model, n, node_budget)
-    return count_via_transfer(model, n, node_budget, state_budget)
+    """Exact C_n by the slice transfer, in every dimension."""
+    return count_via_transfer(model, n, state_budget)

@@ -14,11 +14,8 @@ import pytest
 from sftbounds import (
     builtin_model,
     build_report,
-    count_by_state,
     count_patterns,
-    count_patterns_dfs,
     count_via_transfer,
-    enumerate_patterns,
     extend_to_plus_one,
     glue_single,
     is_locally_admissible,
@@ -33,6 +30,7 @@ from sftbounds import (
     verify_power_mean_bound,
     verify_qd_recurrence,
 )
+from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
 
 from conftest import forbid_axis_model, full_shift, single_symbol_forced
 from oracle import oracle_count_naive

@@ -179,7 +179,7 @@ def test_build_report_hard_square(hard_square2):
     assert report.rows[0].checks.doubling is True
     assert report.rows[0].checks.key_inequality is True
     assert report.rows[2].checks.power_mean is None
-    assert report.doubling_checks() == [(1, True)]
+    assert [r.checks.doubling for r in report.rows] == [True, None, None]
 
 
 def test_report_key_inequality_on_every_row_with_c_glued(hard_square2):

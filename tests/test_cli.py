@@ -1,13 +1,23 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sftbounds import model_from_doc
 from sftbounds.cli import main
+from sftbounds.enumeration import count_patterns_dfs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HARD_SQUARE_DOC = {
+    "dimension": 2,
+    "alphabet": ["0", "1"],
+    "forbidden": [[["1", "1"]], [["1", "1"]]],
+}
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +194,33 @@ def test_exit_usage_on_bad_args(capsys):
     assert code == 1
 
 
+def test_dim_with_model_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "hs.json"
+    path.write_text(json.dumps(HARD_SQUARE_DOC))
+    code, out, err = run_cli(
+        capsys, "--model", str(path), "--dim", "3", "count", "--n", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--dim applies only to --builtin" in err
+    code, out, _ = run_cli(capsys, "--model", str(path), "count", "--n", "2")
+    assert (code, out.strip()) == (0, "C_2 = 7")
+
+
+def test_builtin_parameter_on_hard_square_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "--builtin", "hard-square:7", "--dim", "2", "count", "--n", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert "hard-square takes no parameter" in err
+    code, out, err = run_cli(
+        capsys, "--builtin", "hard-square:", "--dim", "2", "count", "--n", "2"
+    )
+    assert (code, out) == (1, "")
+    assert "builtin parameter must be an integer, got ''" in err
+
+
 def test_exit_usage_on_model_parse_failure(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -192,19 +229,33 @@ def test_exit_usage_on_model_parse_failure(capsys, tmp_path):
     assert "syntax error" in err
 
 
-def test_exit_budget_on_node_limit(capsys):
+def test_node_budget_flag_is_a_usage_error(capsys):
     code, _, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2",
+        "--node-budget=5", "count", "--n", "4",
+    )
+    assert code == 1
+    assert "unrecognized arguments: --node-budget=5" in err
+    code, out, _ = run_cli(
         capsys, "--builtin", "hard-square", "--dim", "2",
         "--node-budget", "5", "count", "--n", "4",
     )
-    assert code == 2
-    assert "budget" in err.lower() or "resource" in err.lower()
+    assert (code, out) == (1, "")
+
+
+def test_count_d1_long_line(capsys):
+    # F(62): one transfer product per step, no search over the patterns
+    code, out, _ = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "1", "count", "--n", "60",
+    )
+    assert code == 0
+    assert out.strip() == "C_60 = 4052739537881"
 
 
 def test_bounds_within_node_budget_fills_every_row(capsys):
-    # every count fits in 2000 nodes; the per-state table must not abort
+    # the per-state table of every row with C_{2n-1} counted must not abort
     code, out, _ = run_cli(
-        capsys, "--builtin", "hard-square", "--dim", "2", "--node-budget", "2000",
+        capsys, "--builtin", "hard-square", "--dim", "2",
         "--format", "json", "bounds", "--n-max", "6",
     )
     assert code == 0
@@ -257,3 +308,100 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     )
     assert code == 3
     assert "FAIL" in out
+
+
+def run_main(argv):
+    """``main`` with its output captured, for tests that take no fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def model_docs(draw):
+    """Valid documents: d in {1, 2}, q <= 3, symmetric or closed on request."""
+    d = draw(st.integers(1, 2))
+    q = draw(st.integers(1, 3))
+    names = [f"s{i}" for i in range(q)]
+    closure = draw(st.booleans())
+    forbidden = []
+    for _ in range(d):
+        pairs = draw(
+            st.sets(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=4)
+        )
+        if not closure:
+            pairs |= {(b, a) for a, b in pairs}
+        forbidden.append([[names[a], names[b]] for a, b in sorted(pairs)])
+    doc = {"dimension": d, "alphabet": names, "forbidden": forbidden}
+    if closure or draw(st.booleans()):
+        doc["symmetrize"] = closure
+    return doc
+
+
+WRONG_TYPES = {
+    "dimension": ["2", 2.0, True, None, [2]],
+    "alphabet": ["s0", [0, 1], None, {"s0": 0}],
+    "forbidden": [{}, "s0", None, [["s0", "s0"]]],
+    "symmetrize": ["false", "true", 1, None],
+}
+
+
+@st.composite
+def corrupt_docs(draw):
+    """A valid document with one fault that must be refused."""
+    doc = draw(model_docs())
+    names, d = doc["alphabet"], doc["dimension"]
+    kind = draw(
+        st.sampled_from(["type", "missing", "symbol", "pair", "axes", "asymmetric"])
+    )
+    if kind == "type":
+        key = draw(st.sampled_from(sorted(WRONG_TYPES)))
+        doc[key] = draw(st.sampled_from(WRONG_TYPES[key]))
+    elif kind == "missing":
+        del doc[draw(st.sampled_from(["dimension", "alphabet", "forbidden"]))]
+    elif kind == "symbol":
+        axis = draw(st.integers(0, d - 1))
+        pair = [draw(st.sampled_from(names)), "zz"]
+        doc["forbidden"][axis].append(draw(st.permutations(pair)))
+    elif kind == "pair":
+        axis = draw(st.integers(0, d - 1))
+        bad = [[names[0]], [names[0]] * 3, [[names[0]], names[0]], [0, 1], names[0]]
+        doc["forbidden"][axis].append(draw(st.sampled_from(bad)))
+    elif kind == "axes":
+        if draw(st.booleans()):
+            doc["forbidden"] = doc["forbidden"][:-1]
+        else:
+            doc["forbidden"] = doc["forbidden"] + [[]]
+    else:
+        # "extra" is new, so (extra, s) or (s, extra) has no reversed pair
+        doc["alphabet"] = names + ["extra"]
+        axis = draw(st.integers(0, d - 1))
+        doc["forbidden"][axis].append(draw(st.permutations([names[-1], "extra"])))
+        doc["symmetrize"] = False
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_docs(), st.integers(1, 3))
+def test_cli_count_of_random_documents_matches_dfs(tmp_path_factory, doc, n):
+    path = tmp_path_factory.mktemp("doc") / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(
+        ["--model", str(path), "--format", "json", "count", "--n", str(n)]
+    )
+    assert (code, err) == (0, "")
+    counts = json.loads(out)["counts"]
+    assert counts == [{"n": n, "C_n": str(count_patterns_dfs(model_from_doc(doc), n))}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupt_docs())
+@example({"dimension": 1, "alphabet": ["s0"], "forbidden": [[[["s0"], "s0"]]]})
+def test_cli_refuses_corrupt_documents(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["--model", str(path), "count", "--n", "2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("model error: ")

@@ -8,13 +8,11 @@ from sftbounds import (
     BudgetExceededError,
     SftModel,
     builtin_model,
-    count_by_state,
-    count_patterns_dfs,
-    enumerate_patterns,
     is_locally_admissible,
     sample_admissible,
     surface_state,
 )
+from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
 
 from conftest import brute_force_count, forbid_axis_model, full_shift
 from oracle import oracle_count_naive

@@ -10,8 +10,6 @@ from sftbounds import (
     GlueInput,
     builtin_model,
     count_patterns,
-    count_patterns_dfs,
-    enumerate_patterns,
     extend_to_plus_one,
     glue,
     glue_single,
@@ -24,6 +22,7 @@ from sftbounds import (
     tiling_witness,
     verify_key_inequality,
 )
+from sftbounds.enumeration import count_patterns_dfs, enumerate_patterns
 
 from conftest import forbid_axis_model, full_shift
 

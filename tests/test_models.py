@@ -80,6 +80,19 @@ def test_parse_rejects_asymmetric_without_flag():
     assert model.forbidden[0] == frozenset({(0, 1), (1, 0)})
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}])
+def test_parse_rejects_non_boolean_symmetrize(flag):
+    # a truthy string must not quietly close an asymmetric relation
+    doc = {
+        "dimension": 1,
+        "alphabet": ["a", "b"],
+        "forbidden": [[["a", "b"]]],
+        "symmetrize": flag,
+    }
+    with pytest.raises(ModelFormatError, match="symmetrize must be true or false"):
+        parse_model(json.dumps(doc))
+
+
 def test_model_doc_roundtrip():
     model = builtin_model("coloring", 2, 3)
     again = parse_model(json.dumps(model_to_doc(model)))
@@ -149,10 +162,12 @@ def test_builtin_errors():
         builtin_model("coloring", 2, 0)
     with pytest.raises(ModelFormatError):
         builtin_model("coloring", 2)
+    with pytest.raises(ModelFormatError, match="hard-square takes no parameter"):
+        builtin_model("hard-square", 2, 7)
 
 
 def test_builtin_single_color_forces_emptiness():
-    from sftbounds import count_patterns_dfs
+    from sftbounds.enumeration import count_patterns_dfs
 
     model = builtin_model("coloring", 1, 1)
     assert count_patterns_dfs(model, 2) == 0

@@ -190,13 +190,6 @@ def test_surface_state_matches_boundary(p):
     assert list(s.cells) == expect
 
 
-def test_surface_state_packed_injective():
-    a = surface_state(CubePattern(2, 2, (0, 0, 0, 1)))
-    b = surface_state(CubePattern(2, 2, (0, 0, 1, 0)))
-    assert a.packed() != b.packed()
-    assert a.packed() == bytes((0, 0, 1))
-
-
 def test_restrict_identity_and_values():
     p = CubePattern(3, 2, tuple(range(9)))
     assert restrict(p, 3) == p

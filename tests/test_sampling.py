@@ -5,11 +5,11 @@ import pytest
 import sftbounds.enumeration as enumeration
 from sftbounds import (
     builtin_model,
-    count_by_state,
     is_locally_admissible,
     sample_same_state_group,
     surface_state,
 )
+from sftbounds.enumeration import count_by_state
 
 
 @pytest.mark.parametrize(

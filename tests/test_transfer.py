@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -9,12 +10,10 @@ from sftbounds import (
     SftModel,
     SurfaceState,
     builtin_model,
-    count_by_state,
     count_patterns,
-    count_patterns_dfs,
     count_via_transfer,
-    enumerate_patterns,
 )
+from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
 from sftbounds.models import drop_last_axis
 from sftbounds.patterns import decode, surface_indices
 from sftbounds.transfer import (
@@ -129,9 +128,12 @@ def test_slice_space_full_shift():
     assert len(slice_vector(model, 4)) == 2 ** 4
 
 
-def test_slice_space_requires_d2(hard_square1):
-    with pytest.raises(ValueError):
-        slice_vector(hard_square1, 3)
+def test_slice_space_d1_is_every_symbol():
+    # a 1-d slice is one cell, with no within-slice neighbor to check
+    for model in one_dimensional_models():
+        q = model.num_symbols
+        for n in (1, 2, 7):
+            assert slice_vector(model, n) == {v: 1 for v in range(q)}
 
 
 def test_slice_space_matches_enumerated_slices(hard_square2, hard_square3, coloring3_d2):
@@ -165,11 +167,13 @@ def test_slice_budget_refused_before_any_product(
     # F(8) = 21 slices at side 6 in d = 2; C_3 = 63 slices at side 3 in d = 3
     with pytest.raises(BudgetExceededError, match="more than 20 slices at side 6"):
         count_via_transfer(hard_square2, 6, state_budget=20)
-    assert dims == []
+    # only the d = 1 sub-model count ran products
+    assert dims and set(dims) == {1}
+    dims.clear()
     with pytest.raises(BudgetExceededError, match="more than 62 slices at side 3"):
         count_via_transfer(hard_square3, 3, state_budget=62)
-    # only the d = 2 sub-model count ran products
-    assert dims and set(dims) == {2}
+    # only the sub-model counts, in d = 2 and below it d = 1, ran products
+    assert set(dims) == {1, 2}
 
 
 def test_transitions_hard_square_n2(hard_square2):
@@ -197,8 +201,6 @@ def test_transitions_budget(hard_square2):
 
 
 def forbid_last_axis_model(q=2):
-    import itertools
-
     alphabet = Alphabet(tuple(str(i) for i in range(q)))
     all_pairs = frozenset(itertools.product(range(q), range(q)))
     return SftModel(2, alphabet, (frozenset(), all_pairs))
@@ -270,13 +272,27 @@ def test_transfer_asymmetric_last_axis():
             assert count_via_transfer(model, n) == full_walk_count(model, n)
 
 
-def test_transfer_d1_delegates(hard_square1):
-    for n in range(1, 8):
-        assert count_patterns(hard_square1, n) == count_patterns_dfs(
-            hard_square1, n
-        )
-    with pytest.raises(ValueError):
-        count_via_transfer(hard_square1, 3)
+def one_dimensional_models():
+    """1-d models: builtins, an asymmetric cycle, everything forbidden."""
+    three = Alphabet(("a", "b", "c"))
+    every_pair = frozenset(itertools.product((0, 1), repeat=2))
+    return [
+        builtin_model("hard-square", 1),
+        builtin_model("coloring", 1, 1),
+        builtin_model("coloring", 1, 3),
+        builtin_model("coloring", 1, 17),
+        SftModel(1, three, (frozenset({(0, 1), (1, 2), (2, 0)}),)),
+        SftModel(1, Alphabet(("0", "1")), (every_pair,)),
+    ]
+
+
+def test_transfer_d1_matches_dfs(hard_square1):
+    for model in one_dimensional_models():
+        for n in range(1, 8 if model.num_symbols <= 3 else 4):
+            assert count_via_transfer(model, n) == count_patterns_dfs(model, n)
+    # F(62): far past the DFS, one product per step for the transfer
+    assert count_via_transfer(hard_square1, 60) == 4_052_739_537_881
+    assert count_via_transfer(builtin_model("coloring", 1, 3), 30) == 3 * 2 ** 29
 
 
 @st.composite
@@ -347,20 +363,19 @@ def test_count_patterns_dispatch_by_dimension(
 
         monkeypatch.setattr(transfer_mod, name, wrapper)
 
-    spy("count_patterns_dfs")
     spy("count_via_transfer")
     assert count_patterns(hard_square1, 4) == count_patterns_dfs(hard_square1, 4)
     assert count_patterns(hard_square2, 3) == 63
     assert count_patterns(hard_square3, 2) == 35
-    # each transfer first counts its slices on the sub-model, one
-    # dimension down, through the same dispatcher
+    # each transfer of d >= 2 first counts its slices on the sub-model, one
+    # dimension down, through the same entry point; d = 1 needs no count
     assert used == [
-        ("count_patterns_dfs", 1),
+        ("count_via_transfer", 1),
         ("count_via_transfer", 2),
-        ("count_patterns_dfs", 1),
+        ("count_via_transfer", 1),
         ("count_via_transfer", 3),
         ("count_via_transfer", 2),
-        ("count_patterns_dfs", 1),
+        ("count_via_transfer", 1),
     ]
 
 
@@ -412,9 +427,13 @@ def test_state_counts_match_dfs_per_state(hard_square2, hard_square3, coloring3_
         assert decode_states(model, n, state_counts(model, n)) == expected
 
 
-def test_state_counts_d1_is_the_dfs_table(hard_square1):
-    for n in range(1, 6):
-        assert state_counts(hard_square1, n) == count_by_state(hard_square1, n)
+def test_state_counts_d1_is_the_dfs_table():
+    # no earlier slice has a shell cell: the key is (0, last cell's value)
+    for model in one_dimensional_models():
+        for n in range(1, 9 if model.num_symbols <= 3 else 4):
+            table = state_counts(model, n)
+            assert {prefix for prefix, _ in table} <= {0}
+            assert decode_states(model, n, table) == count_by_state(model, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,13 +458,8 @@ def test_state_counts_pinned_sizes(hard_square2, hard_square3, coloring3_d2):
 def test_state_counts_need_no_enumeration(monkeypatch, hard_square2):
     import sftbounds.enumeration as enumeration_mod
 
-    real = enumeration_mod._admissible_assignments
-
     def no_cube_search(model, n, node_budget):
-        # the 1-d slice count below the transfer still runs the DFS
-        if model.dimension >= 2:
-            raise AssertionError("side-n patterns were enumerated")
-        return real(model, n, node_budget)
+        raise AssertionError("side-n patterns were enumerated")
 
     monkeypatch.setattr(enumeration_mod, "_admissible_assignments", no_cube_search)
     table = state_counts(hard_square2, 5)
