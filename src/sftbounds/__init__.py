@@ -10,8 +10,6 @@ from .models import (
     model_from_doc,
     model_to_doc,
     parse_model,
-    symmetrize,
-    validate_symmetry,
 )
 from .patterns import (
     CubePattern,

@@ -136,24 +136,16 @@ def verify_doubling_monotonicity(
 
         (C_{2n+1} / S^q_d(2n))^(1/(2n)^d)  >=  (C_{n+1} / S^q_d(n))^(1/n^d).
 
-    Compared exactly in integers, with both sides raised to the power
-    n^d (2n)^d times the common denominator of the exponents.  Zero counts
-    on both sides are trivially true (-inf >= -inf).
+    Raising both sides to the power n^d (2n)^d = 2^d n^(2d) and taking the
+    n^d-th root leaves C_{2n+1} S^(2^d q_d(n) - q_d(2n)) >= C_{n+1}^(2^d).
+    By the doubling identity the exponent of S is (2^d - 1)((n+1)^d - n^d),
+    so the inequality is exactly the power-mean bound; both parts are
+    checked exactly.  Zero counts follow ln 0 = -inf: C_{n+1} = 0 holds
+    trivially, and C_{2n+1} = 0 < C_{n+1} fails.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    d = model.dimension
-    if c_n1 == 0:
-        return True
-    if c_2n1 == 0:
-        return False
-    s = model.num_symbols
-    e_rhs = q_poly(d, n) * (2 * n) ** d
-    e_lhs = q_poly(d, 2 * n) * n ** d
-    denom = math.lcm(e_rhs.denominator, e_lhs.denominator)
-    lhs = c_2n1 ** (n ** d * denom) * s ** int(e_rhs * denom)
-    rhs = c_n1 ** ((2 * n) ** d * denom) * s ** int(e_lhs * denom)
-    return lhs >= rhs
+    return verify_qd_recurrence(model.dimension, n) and verify_power_mean_bound(
+        model, n, c_n1, c_2n1
+    )
 
 
 def build_report(model: SftModel, n_max: int) -> ConvergenceReport:

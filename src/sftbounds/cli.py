@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
 from .patterns import format_pattern, is_locally_admissible
@@ -63,70 +62,33 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters: one model source plus command settings."""
-
-    command: str
-    model_path: str | None
-    builtin: str | None
-    dim: int | None
-    fmt: str
-    seed: int
-    log_base: str
-    n: int | None = None
-    n_max: int | None = None
-    samples: int = 200
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        if (args.model is None) == (args.builtin is None):
-            raise CliError(
-                EXIT_USAGE, "exactly one of --model or --builtin is required"
-            )
-        if args.model is not None and args.dim is not None:
+def load_model(args) -> SftModel:
+    """The one model the global flags select, from a file or a builtin."""
+    if (args.model is None) == (args.builtin is None):
+        raise CliError(EXIT_USAGE, "exactly one of --model or --builtin is required")
+    if args.model is not None:
+        if args.dim is not None:
             raise CliError(
                 EXIT_USAGE, "--dim applies only to --builtin; a model file sets its own"
             )
-        return cls(
-            command=args.command,
-            model_path=args.model,
-            builtin=args.builtin,
-            dim=args.dim,
-            fmt=args.format,
-            seed=args.seed,
-            log_base=args.log_base,
-            n=getattr(args, "n", None),
-            n_max=getattr(args, "n_max", None),
-            samples=getattr(args, "samples", 200),
-        )
-
-    def load_model(self) -> SftModel:
-        if self.model_path is not None:
-            try:
-                with open(self.model_path, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CliError(
-                    EXIT_USAGE, f"cannot read {self.model_path}: {exc}"
-                ) from None
-            return parse_model(text)
-        name, colon, param = self.builtin.partition(":")
-        if self.dim is None:
-            raise CliError(EXIT_USAGE, "--builtin requires --dim")
-        q = None
-        if colon:
-            try:
-                q = int(param)
-            except ValueError:
-                raise CliError(
-                    EXIT_USAGE, f"builtin parameter must be an integer, got {param!r}"
-                ) from None
-        return builtin_model(name, self.dim, q)
-
-    @property
-    def scale(self) -> float:
-        return 1.0 if self.log_base == "e" else 1.0 / math.log(2)
+        try:
+            with open(args.model, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(EXIT_USAGE, f"cannot read {args.model}: {exc}") from None
+        return parse_model(text)
+    name, colon, param = args.builtin.partition(":")
+    if args.dim is None:
+        raise CliError(EXIT_USAGE, "--builtin requires --dim")
+    q = None
+    if colon:
+        try:
+            q = int(param)
+        except ValueError:
+            raise CliError(
+                EXIT_USAGE, f"builtin parameter must be an integer, got {param!r}"
+            ) from None
+    return builtin_model(name, args.dim, q)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,18 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_count(model: SftModel, cfg: RunConfig) -> int:
-    n_lo = cfg.n
-    n_hi = cfg.n_max if cfg.n_max is not None else cfg.n
+def cmd_count(model: SftModel, args) -> int:
+    n_lo = args.n
+    n_hi = args.n_max if args.n_max is not None else args.n
     if n_lo < 1 or n_hi < n_lo:
         raise CliError(EXIT_USAGE, "need 1 <= --n <= --n-max")
     rows = []
     for n in range(n_lo, n_hi + 1):
         rows.append((n, count_patterns(model, n)))
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {"counts": [{"n": n, "C_n": str(c)} for n, c in rows]}
         print(json.dumps(doc, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("n,C_n")
         for n, c in rows:
             print(f"{n},{c}")
@@ -196,17 +158,17 @@ def _fmt_bound(x, scale: float) -> str:
     return f"{x * scale:.6f}"
 
 
-def cmd_bounds(model: SftModel, cfg: RunConfig) -> int:
-    if cfg.n_max < 1:
+def cmd_bounds(model: SftModel, args) -> int:
+    if args.n_max < 1:
         raise CliError(EXIT_USAGE, "bounds needs --n-max >= 1")
-    report = build_report(model, cfg.n_max)
-    if cfg.fmt == "json":
-        print(json.dumps(report_to_json_dict(report, cfg.log_base), indent=2))
+    report = build_report(model, args.n_max)
+    if args.format == "json":
+        print(json.dumps(report_to_json_dict(report, args.log_base), indent=2))
         return EXIT_OK
-    if cfg.fmt == "csv":
-        sys.stdout.write(report_to_csv(report, cfg.log_base))
+    if args.format == "csv":
+        sys.stdout.write(report_to_csv(report, args.log_base))
         return EXIT_OK
-    scale = cfg.scale
+    scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2)
     width = max([len(str(r.c_n)) if r.c_n is not None else 3 for r in report.rows] + [3])
     print(f"{'n':>4}  {'C_n':>{width}}  {'lower':>12}  {'upper':>12}  {'gap_bound':>12}")
     for row in report.rows:
@@ -218,12 +180,12 @@ def cmd_bounds(model: SftModel, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
-    if cfg.n < 2:
+def cmd_verify(model: SftModel, args) -> int:
+    if args.n < 2:
         raise CliError(EXIT_USAGE, "verify needs --n >= 2")
-    if cfg.samples < 1:
+    if args.samples < 1:
         raise CliError(EXIT_USAGE, "verify needs --samples >= 1")
-    n = cfg.n
+    n = args.n
     d = model.dimension
     results = []
 
@@ -255,10 +217,10 @@ def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
     )
     results.append(("correction-polynomial recurrence sweep (d<=6, n<=64)", sweep_ok))
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     sample_ok = True
     failures = 0
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         try:
             group = sample_same_state_group(model, n, 1 << d, rng)
         except SamplingError:
@@ -276,12 +238,12 @@ def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
             sample_ok = False
             break
     results.append(
-        (f"glue/periodic property samples ({cfg.samples} draws, seed {cfg.seed})",
+        (f"glue/periodic property samples ({args.samples} draws, seed {args.seed})",
          sample_ok)
     )
 
     all_ok = all(ok for _, ok in results)
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
             "checks": [{"name": name, "pass": ok} for name, ok in results],
             "all_pass": all_ok,
@@ -294,14 +256,14 @@ def cmd_verify(model: SftModel, cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def cmd_glue_demo(model: SftModel, cfg: RunConfig) -> int:
+def cmd_glue_demo(model: SftModel, args) -> int:
     if model.dimension not in (2, 3):
         raise CliError(EXIT_USAGE, "glue-demo supports dimension 2 or 3")
-    if cfg.n < 2:
+    if args.n < 2:
         raise CliError(EXIT_USAGE, "glue-demo needs --n >= 2")
     d = model.dimension
-    rng = random.Random(cfg.seed)
-    group = sample_same_state_group(model, cfg.n, 1 << d, rng)
+    rng = random.Random(args.seed)
+    group = sample_same_state_group(model, args.n, 1 << d, rng)
     alphabet = model.alphabet
     for t, p in enumerate(group):
         print(f"# block {t}")
@@ -336,9 +298,8 @@ def main(argv=None) -> int:
             raise CliError(
                 EXIT_USAGE, "a command is required (count, bounds, verify, glue-demo)"
             )
-        cfg = RunConfig.from_args(args)
-        model = cfg.load_model()
-        return _COMMANDS[cfg.command](model, cfg)
+        model = load_model(args)
+        return _COMMANDS[args.command](model, args)
     except CliError as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

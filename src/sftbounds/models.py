@@ -2,9 +2,10 @@
 
 A model is a finite alphabet plus, for each coordinate axis, a set of
 forbidden ordered pairs (value at x, value at x + e_axis).  Symmetry means
-every forbidden set is closed under swapping the pair.  All counting and
-gluing routines in this package rely on that closure, so asymmetric input
-is rejected unless closure is explicitly requested.
+every forbidden set is closed under swapping the pair.  The paper's bounds,
+the half walk of the transfer and the reflection gluing all rely on that
+closure, so ``SftModel`` itself rejects an asymmetric forbidden set; a
+model document may ask for the closure with "symmetrize": true.
 
 Axes are numbered 1..d in user-facing messages and file formats, 0..d-1
 internally.  Symbols are strings mapped to dense integer ids; every inner
@@ -56,8 +57,8 @@ class SftModel:
     """Nearest-neighbor model on Z^d with per-axis forbidden pair sets.
 
     ``forbidden[i]`` holds ordered pairs of symbol ids along internal axis i
-    (external axis i+1).  Forbidden sets may differ across axes.  Instances
-    are immutable and hashable, hence safe to share across workers.
+    (external axis i+1).  Forbidden sets may differ across axes, but each
+    one is closed under pair reversal.  Instances are immutable and hashable.
     """
 
     dimension: int
@@ -78,6 +79,16 @@ class SftModel:
                 if not (0 <= a < q and 0 <= b < q):
                     raise ModelFormatError(
                         f"forbidden pair {pair} on axis {axis + 1} is outside the alphabet"
+                    )
+        syms = self.alphabet.symbols
+        for axis, pairs in enumerate(self.forbidden):
+            for a, b in sorted(pairs):
+                if (b, a) not in pairs:
+                    x, y = syms[a], syms[b]
+                    raise ModelFormatError(
+                        f"forbidden sets are not symmetric: axis {axis + 1} has "
+                        f"({x},{y}) without ({y},{x}); set \"symmetrize\": true "
+                        "to request closure"
                     )
 
     @property
@@ -135,25 +146,6 @@ class _MaskValues(dict):
     def __missing__(self, m: int) -> tuple[int, ...]:
         self[m] = values = tuple(v for v in range(m.bit_length()) if m >> v & 1)
         return values
-
-
-def validate_symmetry(model: SftModel) -> list[tuple[int, str, str]]:
-    """Violations of pair-reversal closure, as (external axis, a, b) names."""
-    syms = model.alphabet.symbols
-    violations = []
-    for axis, pairs in enumerate(model.forbidden):
-        for a, b in sorted(pairs):
-            if (b, a) not in pairs:
-                violations.append((axis + 1, syms[a], syms[b]))
-    return violations
-
-
-def symmetrize(model: SftModel) -> SftModel:
-    """Close every forbidden set under pair reversal (idempotent)."""
-    closed = tuple(
-        frozenset(pairs | {(b, a) for (a, b) in pairs}) for pairs in model.forbidden
-    )
-    return SftModel(model.dimension, model.alphabet, closed)
 
 
 def drop_last_axis(model: SftModel) -> SftModel:
@@ -218,21 +210,14 @@ def model_from_doc(doc) -> SftModel:
             except ModelFormatError as exc:
                 raise ModelFormatError(f"axis {axis + 1}: {exc}") from None
             pairs.add((a, b))
-        forbidden.append(frozenset(pairs))
+        forbidden.append(pairs)
     closure = doc.get("symmetrize", False)
     if not isinstance(closure, bool):
         raise ModelFormatError("symmetrize must be true or false")
-    model = SftModel(dimension, alphabet, tuple(forbidden))
     if closure:
-        return symmetrize(model)
-    violations = validate_symmetry(model)
-    if violations:
-        axis, a, b = violations[0]
-        raise ModelFormatError(
-            f"forbidden sets are not symmetric: axis {axis} has ({a},{b}) "
-            f"without ({b},{a}); set \"symmetrize\": true to request closure"
-        )
-    return model
+        for pairs in forbidden:
+            pairs |= {(b, a) for a, b in pairs}
+    return SftModel(dimension, alphabet, tuple(map(frozenset, forbidden)))
 
 
 def model_to_doc(model: SftModel) -> dict:

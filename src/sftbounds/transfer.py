@@ -23,12 +23,11 @@ transfer, one dimension down) and checked against the state budget
 before any product runs.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
-``C_n = <(T^T)^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``.
-A symmetric model (the paper's hypothesis) has ``T = T^T``, so the second
-vector is the first one itself, advanced once more when n-1 is odd: about
-half the products, on counts of about half the width.  A model built
-directly with an asymmetric last-axis relation walks the second vector
-from scratch with the transposed masks.
+``C_n = <T^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``, since
+``T = T^T`` for every model (``SftModel`` admits only symmetric forbidden
+sets, the paper's hypothesis).  So the second vector is the first one
+itself, advanced once more when n-1 is odd: about half the products, on
+counts of about half the width.
 
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
@@ -71,14 +70,6 @@ def _phase_checks(model: SftModel, n: int):
                 cs.append((q ** (w - s_k), masks[k]))
         plans.append(tuple(cs))
     return plans
-
-
-def _transpose(masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Mask table of the reversed relation: bit a of row b iff (a, b) allowed."""
-    q = len(masks)
-    return tuple(
-        sum(1 << a for a in range(q) if masks[a] >> b & 1) for b in range(q)
-    )
 
 
 def _advance(
@@ -164,21 +155,6 @@ def build_slice_space(
     return _advance(model, n, {0: 1}, free, phases, state_budget)
 
 
-def _walk(
-    model: SftModel,
-    n: int,
-    dist: dict[int, int],
-    masks: tuple[int, ...],
-    phases: list,
-    steps: int,
-    state_budget: int,
-) -> dict[int, int]:
-    """The slice vector ``dist`` pushed through ``steps`` products."""
-    for _ in range(steps):
-        dist = _advance(model, n, dist, masks, phases, state_budget)
-    return dist
-
-
 def count_via_transfer(
     model: SftModel,
     n: int,
@@ -188,17 +164,12 @@ def count_via_transfer(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     phases = _phase_checks(model, n)
-    ones = build_slice_space(model, n, phases, state_budget)
-    forward = model.allowed_masks[model.dimension - 1]
-    backward = _transpose(forward)
-    a = (n - 1) // 2
-    v = _walk(model, n, ones, forward, phases, a, state_budget)
-    if backward == forward:
-        u = v  # T = T^T: T^a 1 is also the first a steps of T^b 1
-    else:
-        u = _walk(model, n, ones, backward, phases, a, state_budget)
-    if (n - 1) % 2:
-        u = _advance(model, n, u, backward, phases, state_budget)
+    masks = model.allowed_masks[model.dimension - 1]
+    v = build_slice_space(model, n, phases, state_budget)
+    for _ in range((n - 1) // 2):
+        v = _advance(model, n, v, masks, phases, state_budget)
+    # T = T^T: T^a 1 is also the first a steps of T^b 1
+    u = _advance(model, n, v, masks, phases, state_budget) if (n - 1) % 2 else v
     get = u.get
     return sum(c * get(k, 0) for k, c in v.items())
 

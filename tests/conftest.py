@@ -44,6 +44,33 @@ def single_symbol_forced(d: int = 2) -> SftModel:
     return SftModel(d, alphabet, (pairs,) * d)
 
 
+def reversal_closure(pairs) -> frozenset:
+    """The smallest pair set holding ``pairs`` and closed under (a, b) -> (b, a)."""
+    return frozenset(pairs) | {(b, a) for a, b in pairs}
+
+
+# Relations that are not closed under pair reversal, as (dimension,
+# alphabet, forbidden sets), each with the first unmatched pair the model
+# error names: (external axis, a, b).
+ASYMMETRIC_RELATIONS = [
+    # no 0 directly below a 1 along the last axis; hard-square along axis 1
+    ((2, ("0", "1"), ({(1, 1)}, {(0, 1)})), (2, "0", "1")),
+    # cyclic order a -> b -> c forbidden along the last axis only
+    ((2, ("a", "b", "c"), (set(), {(0, 1), (1, 2), (2, 0)})), (2, "a", "b")),
+    # asymmetric along both axes
+    ((2, ("a", "b", "c"), ({(0, 2)}, {(1, 0), (2, 2)})), (1, "a", "c")),
+    # the 1-d 3-cycle
+    ((1, ("a", "b", "c"), ({(0, 1), (1, 2), (2, 0)},)), (1, "a", "b")),
+    # words 1...10...0 only: entropy 0, yet its rows would bracket h > 0
+    ((1, ("0", "1"), ({(0, 1)},)), (1, "0", "1")),
+]
+
+
+def reversal_closed_model(d: int, symbols: tuple, forbidden: tuple) -> SftModel:
+    """The model of a relation's reversal closure, axis by axis."""
+    return SftModel(d, Alphabet(symbols), tuple(map(reversal_closure, forbidden)))
+
+
 def brute_force_count(model: SftModel, n: int) -> int:
     """Test-local ground truth: scan every assignment with explicit loops.
 

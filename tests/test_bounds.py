@@ -170,6 +170,64 @@ def test_doubling_exact_on_instances_and_near_tie(hard_square2, coloring3_d2):
     assert -1e-12 < v_8 - v_4 < 0
 
 
+def doubling_by_exponents(model, n, c_n1, c_2n1):
+    """Oracle: the doubling inequality compared as written, in integers.
+
+    Both sides raised to the power n^d (2n)^d times the common denominator
+    of the exponents, with no use of the q_d identity.
+    """
+    d, s = model.dimension, model.num_symbols
+    if c_n1 == 0:
+        return True
+    if c_2n1 == 0:
+        return False
+    e_rhs = q_poly(d, n) * (2 * n) ** d
+    e_lhs = q_poly(d, 2 * n) * n ** d
+    denom = math.lcm(e_rhs.denominator, e_lhs.denominator)
+    lhs = c_2n1 ** (n ** d * denom) * s ** int(e_rhs * denom)
+    rhs = c_n1 ** ((2 * n) ** d * denom) * s ** int(e_lhs * denom)
+    return lhs >= rhs
+
+
+def test_doubling_matches_exponent_oracle(hard_square2, coloring3_d2):
+    cases = [(hard_square2, 1), (hard_square2, 2), (coloring3_d2, 1)]
+    cases += [(full_shift(2, 2), n) for n in (1, 2, 3)]
+    cases += [(single_symbol_forced(), n) for n in (1, 2, 3)]
+    cases += [(forbid_axis_model(), 1), (forbid_axis_model(3), 1)]
+    operands = [(model, n, *check_counts(model, n)) for model, n in cases]
+    # the near-tie of hard-square n = 4, and zero counts on either side
+    tie = 70421023089
+    operands += [(hard_square2, 4, 55447, tie), (hard_square2, 4, 55447, tie + 1)]
+    operands += [(hard_square2, 1, 0, 0), (hard_square2, 1, 0, 5), (hard_square2, 1, 7, 0)]
+    for model, n, c_n1, c_2n1 in operands:
+        expected = doubling_by_exponents(model, n, c_n1, c_2n1)
+        assert verify_doubling_monotonicity(model, n, c_n1, c_2n1) == expected
+
+
+@st.composite
+def doubling_operands(draw):
+    """(model, n, C_{n+1}, C_{2n+1}) with C_{2n+1} often at the threshold."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    c_n1 = draw(st.integers(0, 10 ** 6))
+    exponent = (2 ** d - 1) * ((n + 1) ** d - n ** d)
+    threshold = -(-(c_n1 ** (2 ** d)) // q ** exponent)  # ceiling
+    c_2n1 = draw(
+        st.one_of(
+            st.integers(-1, 1).map(lambda k: max(0, threshold + k)),
+            st.integers(0, 2 * threshold + 2),
+        )
+    )
+    return full_shift(q, d), n, c_n1, c_2n1
+
+
+@settings(max_examples=300, deadline=None)
+@given(doubling_operands())
+def test_doubling_matches_exponent_oracle_random(operands):
+    assert verify_doubling_monotonicity(*operands) == doubling_by_exponents(*operands)
+
+
 def test_build_report_hard_square(hard_square2):
     report = build_report(hard_square2, 3)
     assert [r.c_n for r in report.rows] == [2, 7, 63]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +9,12 @@ from sftbounds import (
     ModelFormatError,
     SftModel,
     builtin_model,
+    model_from_doc,
     model_to_doc,
     parse_model,
-    symmetrize,
-    validate_symmetry,
 )
+
+from conftest import ASYMMETRIC_RELATIONS, reversal_closed_model
 
 HARD_SQUARE_DOC = {
     "dimension": 2,
@@ -99,60 +101,82 @@ def test_model_doc_roundtrip():
     assert again == model
 
 
-def test_validate_symmetry_cases(hard_square2, coloring3_d2):
-    assert validate_symmetry(hard_square2) == []
-    assert validate_symmetry(coloring3_d2) == []
-    lopsided = SftModel(1, Alphabet(("0", "1")), (frozenset({(0, 1)}),))
-    assert validate_symmetry(lopsided) == [(1, "0", "1")]
+def is_reversal_closed(pairs) -> bool:
+    return all((b, a) in pairs for a, b in pairs)
 
 
-def test_symmetrize_examples():
-    lopsided = SftModel(1, Alphabet(("0", "1")), (frozenset({(0, 1)}),))
-    fixed = symmetrize(lopsided)
+def test_model_rejects_asymmetric_forbidden_sets():
+    for (d, symbols, forbidden), (axis, a, b) in ASYMMETRIC_RELATIONS:
+        with pytest.raises(
+            ModelFormatError,
+            match=re.escape(f"axis {axis} has ({a},{b}) without ({b},{a})"),
+        ):
+            SftModel(d, Alphabet(symbols), tuple(map(frozenset, forbidden)))
+        closed = reversal_closed_model(d, symbols, forbidden)
+        assert all(is_reversal_closed(pairs) for pairs in closed.forbidden)
+    # the message the CLI prints after "model error: "
+    with pytest.raises(ModelFormatError) as info:
+        SftModel(1, Alphabet(("0", "1")), (frozenset({(0, 1)}),))
+    assert str(info.value) == (
+        'forbidden sets are not symmetric: axis 1 has (0,1) without (1,0); '
+        'set "symmetrize": true to request closure'
+    )
+    # every axis is range-checked first: axis 1 is asymmetric, axis 2 is out
+    # of the alphabet
+    with pytest.raises(ModelFormatError, match="outside the alphabet"):
+        SftModel(2, Alphabet(("0", "1")), (frozenset({(0, 1)}), frozenset({(2, 2)})))
+
+
+def test_symmetrize_document_examples():
+    lopsided = {"dimension": 1, "alphabet": ["0", "1"], "forbidden": [[["0", "1"]]]}
+    fixed = model_from_doc(dict(lopsided, symmetrize=True))
     assert fixed.forbidden[0] == frozenset({(0, 1), (1, 0)})
-    assert symmetrize(fixed) == fixed
-    free = SftModel(2, Alphabet(("x",)), (frozenset(), frozenset()))
-    assert symmetrize(free) == free
+    assert model_from_doc(dict(model_to_doc(fixed), symmetrize=True)) == fixed
+    free = {"dimension": 2, "alphabet": ["x"], "forbidden": [[], []]}
+    assert model_from_doc(dict(free, symmetrize=True)) == model_from_doc(free)
 
 
 @st.composite
-def random_models(draw, max_d=3, max_q=3):
+def raw_documents(draw, max_d=3, max_q=3):
+    """Documents with arbitrary (mostly asymmetric) forbidden pair lists."""
     d = draw(st.integers(1, max_d))
     q = draw(st.integers(1, max_q))
-    alphabet = Alphabet(tuple(f"s{i}" for i in range(q)))
+    names = [f"s{i}" for i in range(q)]
     forbidden = []
     for _ in range(d):
         pairs = draw(
-            st.frozensets(
+            st.lists(
                 st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
                 max_size=q * q,
             )
         )
-        forbidden.append(pairs)
-    return SftModel(d, alphabet, tuple(forbidden))
+        forbidden.append([[names[a], names[b]] for a, b in pairs])
+    return {"dimension": d, "alphabet": names, "forbidden": forbidden}
 
 
-@given(random_models())
-def test_symmetrize_idempotent_and_clean(model):
-    closed = symmetrize(model)
-    assert validate_symmetry(closed) == []
-    assert symmetrize(closed) == closed
-    for raw, fix in zip(model.forbidden, closed.forbidden):
-        assert raw <= fix
+@given(raw_documents())
+def test_symmetrize_document_closes_and_roundtrips(doc):
+    model = model_from_doc(dict(doc, symmetrize=True))
+    syms = model.alphabet.symbols
+    for raw, closed in zip(doc["forbidden"], model.forbidden):
+        assert is_reversal_closed(closed)
+        assert {(syms.index(a), syms.index(b)) for a, b in raw} <= closed
+    assert parse_model(json.dumps(model_to_doc(model))) == model
+    assert model_from_doc(dict(model_to_doc(model), symmetrize=True)) == model
 
 
 def test_builtin_hard_square():
     model = builtin_model("hard-square", 2)
     assert model.num_symbols == 2
     assert all(pairs == frozenset({(1, 1)}) for pairs in model.forbidden)
-    assert validate_symmetry(model) == []
+    assert all(is_reversal_closed(pairs) for pairs in model.forbidden)
 
 
 def test_builtin_coloring():
     model = builtin_model("coloring", 2, 3)
     assert model.num_symbols == 3
     assert all(len(pairs) == 3 for pairs in model.forbidden)
-    assert validate_symmetry(model) == []
+    assert all(is_reversal_closed(pairs) for pairs in model.forbidden)
 
 
 def test_builtin_errors():

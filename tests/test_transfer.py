@@ -24,7 +24,13 @@ from sftbounds.transfer import (
     state_counts,
 )
 
-from conftest import forbid_axis_model, full_shift, single_symbol_forced
+from conftest import (
+    ASYMMETRIC_RELATIONS,
+    forbid_axis_model,
+    full_shift,
+    reversal_closed_model,
+    single_symbol_forced,
+)
 
 DEFAULT_EDGE_BUDGET = 2_000_000
 
@@ -142,7 +148,7 @@ def test_slice_space_matches_enumerated_slices(hard_square2, hard_square3, color
         [(hard_square2, n) for n in range(1, 9)]
         + [(hard_square3, n) for n in range(1, 4)]
         + [(coloring3_d2, n) for n in range(1, 6)]
-        + [(model, n) for model in asymmetric_models() for n in range(1, 5)]
+        + [(model, n) for model in closed_models(2) for n in range(1, 5)]
         + [(builtin_model("coloring", 2, 17), 2)]
     )
     for model, n in cases:
@@ -221,7 +227,7 @@ def test_transfer_matches_dfs(hard_square2, hard_square3, coloring3_d2):
         (forbid_last_axis_model(), 3),
         (full_shift(2, 3), 2),
         (builtin_model("coloring", 2, 17), 2),
-    ]
+    ] + [(model, n) for model in closed_models(2) for n in range(1, 4)]
     for model, n in cases:
         assert count_via_transfer(model, n) == count_patterns_dfs(model, n)
 
@@ -247,41 +253,25 @@ def test_half_walk_matches_full_walk(hard_square2, coloring3_d2, hard_square3):
             assert count_via_transfer(model, n) == full_walk_count(model, n)
 
 
-def asymmetric_models():
-    """Directly built models whose last-axis relation is not symmetric."""
-    two = Alphabet(("0", "1"))
-    three = Alphabet(("a", "b", "c"))
+def closed_models(d):
+    """Non-builtin relations in dimension d: the reversal closures of the
+    asymmetric relations the model type refuses."""
     return [
-        # no 0 directly below a 1 along the last axis; hard-square along axis 1
-        SftModel(2, two, (frozenset({(1, 1)}), frozenset({(0, 1)}))),
-        # cyclic order a -> b -> c forbidden along the last axis only
-        SftModel(2, three, (frozenset(), frozenset({(0, 1), (1, 2), (2, 0)}))),
-        # asymmetric along both axes
-        SftModel(2, three, (frozenset({(0, 2)}), frozenset({(1, 0), (2, 2)}))),
+        reversal_closed_model(*relation)
+        for relation, _ in ASYMMETRIC_RELATIONS
+        if relation[0] == d
     ]
 
 
-def test_transfer_asymmetric_last_axis():
-    for model in asymmetric_models():
-        last = model.forbidden[-1]
-        assert any((b, a) not in last for a, b in last)
-        q = model.num_symbols
-        for n in range(1, 5 if q == 2 else 4):
-            assert count_via_transfer(model, n) == count_patterns_dfs(model, n)
-        for n in range(1, 9):
-            assert count_via_transfer(model, n) == full_walk_count(model, n)
-
-
 def one_dimensional_models():
-    """1-d models: builtins, an asymmetric cycle, everything forbidden."""
-    three = Alphabet(("a", "b", "c"))
+    """1-d models: builtins, closed asymmetric relations, everything forbidden."""
     every_pair = frozenset(itertools.product((0, 1), repeat=2))
     return [
         builtin_model("hard-square", 1),
         builtin_model("coloring", 1, 1),
         builtin_model("coloring", 1, 3),
         builtin_model("coloring", 1, 17),
-        SftModel(1, three, (frozenset({(0, 1), (1, 2), (2, 0)}),)),
+        *closed_models(1),
         SftModel(1, Alphabet(("0", "1")), (every_pair,)),
     ]
 
@@ -411,7 +401,7 @@ def test_state_counts_match_dfs_per_state(hard_square2, hard_square3, coloring3_
         + [(hard_square3, n) for n in range(1, 4)]
         + [(coloring3_d2, n) for n in range(1, 6)]
         + [(builtin_model("coloring", 3, 3), n) for n in range(1, 3)]
-        + [(model, n) for model in asymmetric_models() for n in range(1, 5)]
+        + [(model, n) for model in closed_models(2) for n in range(1, 5)]
         + [(builtin_model("coloring", 2, 17), 2)]
     )
     for d in (2, 3):
