@@ -40,10 +40,11 @@ def q_poly(d: int, n: int) -> Fraction:
         raise ValueError(f"need d >= 1, got {d}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    total = Fraction(0)
-    for k in range(d):
-        total += Fraction(math.comb(d, k), 2 ** d - 2 ** k) * n ** k
-    return (2 ** d - 1) * total
+    # (2^d - 1) sum_k C(d, k) n^k / (2^d - 2^k), over one common denominator
+    dens = [2 ** d - 2 ** k for k in range(d)]
+    lcm = math.lcm(*dens)
+    num = sum(math.comb(d, k) * n ** k * (lcm // den) for k, den in enumerate(dens))
+    return Fraction((2 ** d - 1) * num, lcm)
 
 
 def verify_qd_recurrence(d: int, n: int) -> bool:

@@ -162,19 +162,11 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
     periodically across every seam.
     """
     m = core.n
-    d = core.d
-    side = 2 * m
-    out = []
-
-    def walk(coords):
-        if len(coords) == d:
-            out.append(core.value_at(tuple(c % m for c in coords)))
-            return
-        for x in range(side):
-            walk(coords + [x])
-
-    walk([])
-    return CubePattern(side, d, tuple(out))
+    # core index of each witness cell, row-major, built one axis at a time
+    index = [0]
+    for _ in range(core.d):
+        index = [i * m + x % m for i in index for x in range(2 * m)]
+    return CubePattern(2 * m, core.d, tuple(map(core.values.__getitem__, index)))
 
 
 def extend_to_plus_one(model: SftModel, p: CubePattern) -> CubePattern:

@@ -35,6 +35,20 @@ def test_q_poly_plane_is_linear():
     assert q_poly(2, 3) == 10
 
 
+def q_poly_by_terms(d, n):
+    """q_d(n) as the sum of its d Fraction terms, the paper's form."""
+    total = Fraction(0)
+    for k in range(d):
+        total += Fraction(math.comb(d, k), 2 ** d - 2 ** k) * n ** k
+    return (2 ** d - 1) * total
+
+
+def test_q_poly_matches_term_sum():
+    for d in range(1, 10):
+        for n in range(200):
+            assert q_poly(d, n) == q_poly_by_terms(d, n), (d, n)
+
+
 def test_q_poly_examples():
     assert q_poly(3, 1) == Fraction(39, 4)
     assert q_poly(3, 2) == 29

@@ -162,6 +162,25 @@ def test_periodic_core_wrap_and_tiling(hard_square2):
         assert is_locally_admissible(hard_square2, witness)
 
 
+def witness_by_value_at(core):
+    """The tiling witness cell by cell, each read back through value_at."""
+    m, d = core.n, core.d
+    values = tuple(
+        core.value_at(tuple(x % m for x in coords))
+        for coords in itertools.product(range(2 * m), repeat=d)
+    )
+    return CubePattern(2 * m, d, values)
+
+
+def test_tiling_witness_matches_value_at(hard_square2, hard_square3):
+    rng = random.Random(5)
+    for model, n, draws in [(hard_square2, 3, 50), (hard_square3, 3, 5)]:
+        for _ in range(draws):
+            group = sample_same_state_group(model, n, 1, rng)
+            core = periodic_core(model, glue_single(model, group[0]))
+            assert tiling_witness(model, core) == witness_by_value_at(core)
+
+
 def test_periodic_core_needs_odd_side(hard_square2):
     with pytest.raises(GlueError):
         periodic_core(hard_square2, CubePattern(4, 2, (0,) * 16))

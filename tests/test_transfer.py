@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -19,6 +20,8 @@ from sftbounds.patterns import decode, surface_indices
 from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
     _advance,
+    _apply_product,
+    _compile_product,
     _phase_checks,
     build_slice_space,
     state_counts,
@@ -169,17 +172,27 @@ def test_slice_budget_refused_before_any_product(
         dims.append(model.dimension)
         return real(model, *args)
 
+    real_compile = transfer_mod._compile_product
+    compiled = []
+
+    def compile_spy(model, *args):
+        compiled.append(model.dimension)
+        return real_compile(model, *args)
+
     monkeypatch.setattr(transfer_mod, "_advance", spy)
+    monkeypatch.setattr(transfer_mod, "_compile_product", compile_spy)
     # F(8) = 21 slices at side 6 in d = 2; C_3 = 63 slices at side 3 in d = 3
     with pytest.raises(BudgetExceededError, match="more than 20 slices at side 6"):
         count_via_transfer(hard_square2, 6, state_budget=20)
-    # only the d = 1 sub-model count ran products
+    # only the d = 1 sub-model count ran products, and only it compiled one
     assert dims and set(dims) == {1}
+    assert compiled == [1]
     dims.clear()
+    compiled.clear()
     with pytest.raises(BudgetExceededError, match="more than 62 slices at side 3"):
         count_via_transfer(hard_square3, 3, state_budget=62)
     # only the sub-model counts, in d = 2 and below it d = 1, ran products
-    assert set(dims) == {1, 2}
+    assert set(dims) == set(compiled) == {1, 2}
 
 
 def test_transitions_hard_square_n2(hard_square2):
@@ -310,6 +323,112 @@ def test_transfer_agrees_with_dfs_random(model, n):
     else:
         expected = count_patterns_dfs(model, n)
     assert count_via_transfer(model, n) == expected
+
+
+class CompiledProduct:
+    """The compiled product of one side, on dicts keyed by slice."""
+
+    def __init__(self, model, n):
+        self.slices = sorted(slice_vector(model, n))
+        self.steps = _compile_product(
+            model,
+            n,
+            self.slices,
+            model.allowed_masks[model.dimension - 1],
+            _phase_checks(model, n),
+            DEFAULT_STATE_BUDGET,
+        )
+
+    def __call__(self, dist):
+        assert set(dist) <= set(self.slices)
+        out = _apply_product(self.steps, [dist.get(k, 0) for k in self.slices] + [0])
+        assert len(out) == len(self.slices) + 1 and out[-1] == 0
+        return {k: c for k, c in zip(self.slices, out) if c}
+
+
+def assert_compiled_matches_advance(model, n):
+    """Key by key against ``_advance``: the first product, the one after it
+    (on the support it reached), and a product of weights past 64 bits on
+    a random part of the slices."""
+    masks = model.allowed_masks[model.dimension - 1]
+    phases = _phase_checks(model, n)
+    compiled = CompiledProduct(model, n)
+    ones = slice_vector(model, n)
+    # each phase lists exactly the live keys of that phase of _advance
+    dist = ones
+    for checks, blocks in zip(phases, compiled.steps):
+        dist = _advance(model, n, dist, masks, [checks], DEFAULT_STATE_BUDGET)
+        assert sum(len(cols[0]) for cols in blocks) == len(dist)
+    rng = random.Random(n)
+    mixed = {k: rng.randrange(1, 2 ** 70) for k in ones if rng.random() < 0.6}
+    for dist in (ones, mixed):
+        for _ in range(2):
+            expected = _advance(model, n, dist, masks, phases, DEFAULT_STATE_BUDGET)
+            assert compiled(dist) == expected, (model, n)
+            dist = expected
+
+
+def test_compiled_product_matches_advance(hard_square2, coloring3_d2):
+    every_pair = frozenset(itertools.product((0, 1), repeat=2))
+    cases = (
+        [(builtin_model("hard-square", 1), n) for n in range(1, 9)]
+        + [(hard_square2, n) for n in range(1, 8)]
+        + [(builtin_model("hard-square", 3), n) for n in range(1, 5)]
+        + [(builtin_model("coloring", 1, 3), n) for n in range(1, 9)]
+        + [(coloring3_d2, n) for n in range(1, 6)]
+        + [(builtin_model("coloring", 3, 3), n) for n in range(1, 4)]
+        + [(builtin_model("coloring", 1, 17), n) for n in range(1, 4)]
+        + [(builtin_model("coloring", 2, 17), n) for n in range(1, 3)]
+        + [(model, n) for model in closed_models(2) for n in range(1, 5)]
+        + [(SftModel(1, Alphabet(("0", "1")), (every_pair,)), n) for n in range(1, 5)]
+        + [(forbid_axis_model(), n) for n in range(1, 5)]
+        + [(forbid_last_axis_model(), n) for n in range(1, 5)]
+    )
+    for model, n in cases:
+        assert_compiled_matches_advance(model, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models_d2(), st.integers(1, 4))
+def test_compiled_product_matches_advance_random(model, n):
+    assert_compiled_matches_advance(model, n)
+
+
+def dict_half_walk(model, n, state_budget):
+    """The half walk on ``_advance`` alone: the reference for budgets."""
+    masks = model.allowed_masks[model.dimension - 1]
+    phases = _phase_checks(model, n)
+    v = build_slice_space(model, n, phases, state_budget)
+    for _ in range((n - 1) // 2):
+        v = _advance(model, n, v, masks, phases, state_budget)
+    u = _advance(model, n, v, masks, phases, state_budget) if (n - 1) % 2 else v
+    return sum(c * u.get(k, 0) for k, c in v.items())
+
+
+def outcome(count, *args):
+    try:
+        return count(*args)
+    except BudgetExceededError as err:
+        return str(err)
+
+
+def test_compiled_budget_refusals_match_dict_path(
+    hard_square2, hard_square3, coloring3_d2
+):
+    for model, n, budgets in [
+        (hard_square2, 6, range(1, 60)),
+        (hard_square2, 9, range(30, 200, 3)),
+        (coloring3_d2, 4, range(1, 200, 2)),
+        (hard_square3, 3, range(60, 200, 2)),
+        (forbid_last_axis_model(), 4, range(1, 40)),
+    ]:
+        seen = set()
+        for budget in budgets:
+            got = outcome(count_via_transfer, model, n, budget)
+            assert got == outcome(dict_half_walk, model, n, budget), (model, n, budget)
+            seen.add(type(got))
+        # each range covers both refusals and counts
+        assert seen == {str, int}, (model, n)
 
 
 def test_count_patterns_sides_1_to_4(hard_square2):
@@ -454,6 +573,32 @@ def test_state_counts_need_no_enumeration(monkeypatch, hard_square2):
     monkeypatch.setattr(enumeration_mod, "_admissible_assignments", no_cube_search)
     table = state_counts(hard_square2, 5)
     assert sum(c ** 4 for c in table.values()) == 22_937_333_976_547
+
+
+def test_state_counts_refuse_at_the_part_that_crosses_the_budget(
+    monkeypatch, hard_square3
+):
+    import sftbounds.transfer as transfer_mod
+
+    real = transfer_mod._advance
+    forward = hard_square3.allowed_masks[2]
+    sizes = []
+
+    def spy(model, n, dist, last_masks, *args):
+        out = real(model, n, dist, last_masks, *args)
+        if model is hard_square3 and last_masks is forward:
+            sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(transfer_mod, "_advance", spy)
+    # the first step splits the 63 slices by their five shell digits into
+    # 13 parts, whose 506 keys cross a budget of 200 at the fifth part
+    with pytest.raises(
+        BudgetExceededError, match="more than 200 boundary-state keys at side 3"
+    ):
+        state_counts(hard_square3, 3, state_budget=200)
+    assert sum(sizes[:-1]) <= 200 < sum(sizes)
+    assert len(sizes) == 5
 
 
 def test_state_counts_budget(hard_square2):
