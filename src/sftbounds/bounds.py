@@ -34,25 +34,34 @@ from .transfer import count_patterns
 from .gluing import verify_key_inequality
 
 
+def _q_scaled(d: int, n: int) -> tuple[int, int]:
+    """q_d(n) as (numerator, L) over the common denominator L = lcm(2^d - 2^k)."""
+    # (2^d - 1) sum_k C(d, k) n^k / (2^d - 2^k)
+    dens = [2 ** d - 2 ** k for k in range(d)]
+    lcm = math.lcm(*dens)
+    num = sum(math.comb(d, k) * n ** k * (lcm // den) for k, den in enumerate(dens))
+    return (2 ** d - 1) * num, lcm
+
+
 def q_poly(d: int, n: int) -> Fraction:
     """The correction polynomial q_d(n), exact."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    # (2^d - 1) sum_k C(d, k) n^k / (2^d - 2^k), over one common denominator
-    dens = [2 ** d - 2 ** k for k in range(d)]
-    lcm = math.lcm(*dens)
-    num = sum(math.comb(d, k) * n ** k * (lcm // den) for k, den in enumerate(dens))
-    return Fraction((2 ** d - 1) * num, lcm)
+    return Fraction(*_q_scaled(d, n))
 
 
 def verify_qd_recurrence(d: int, n: int) -> bool:
-    """Exact check of q_d(2n) + (2^d-1)((n+1)^d - n^d) = 2^d q_d(n)."""
+    """Exact check of q_d(2n) + (2^d-1)((n+1)^d - n^d) = 2^d q_d(n).
+
+    Both sides are compared as integers, scaled by q_d's denominator L.
+    """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    lhs = q_poly(d, 2 * n) + (2 ** d - 1) * ((n + 1) ** d - n ** d)
-    return lhs == 2 ** d * q_poly(d, n)
+    lhs, lcm = _q_scaled(d, 2 * n)
+    rhs, _ = _q_scaled(d, n)
+    return lhs + (2 ** d - 1) * ((n + 1) ** d - n ** d) * lcm == 2 ** d * rhs
 
 
 def leading_gap_coefficient(d: int) -> Fraction:

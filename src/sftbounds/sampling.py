@@ -25,13 +25,16 @@ def _randomized_completion(
     n: int,
     rng: random.Random,
     fixed: dict[int, int] | None = None,
+    checks: list | None = None,
 ) -> CubePattern:
     """Backtracking DFS with shuffled value order; cells in ``fixed`` are
-    pinned to the given ids.  Raises SamplingError when the budget runs
-    out or the search space is exhausted."""
+    pinned to the given ids.  ``checks`` is ``_cell_checks(model, n)``,
+    computed here when not given.  Raises SamplingError when the budget
+    runs out or the search space is exhausted."""
     d = model.dimension
     cells = n ** d
-    checks = _cell_checks(model, n)
+    if checks is None:
+        checks = _cell_checks(model, n)
     vfm = model.values_for_mask
     full = model.full_mask
     fixed = fixed or {}
@@ -75,20 +78,25 @@ def _randomized_completion(
     raise SamplingError(f"model admits no side-{n} pattern")
 
 
-def sample_admissible(model: SftModel, n: int, rng: random.Random) -> CubePattern:
+def sample_admissible(
+    model: SftModel, n: int, rng: random.Random, checks: list | None = None
+) -> CubePattern:
     """One admissible pattern, chosen by randomized backtracking search."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _randomized_completion(model, n, rng)
+    return _randomized_completion(model, n, rng, checks=checks)
 
 
 def sample_with_state(
-    model: SftModel, state: SurfaceState, rng: random.Random
+    model: SftModel,
+    state: SurfaceState,
+    rng: random.Random,
+    checks: list | None = None,
 ) -> CubePattern:
     """One admissible pattern whose boundary state equals ``state``."""
     surf = surface_indices(state.n, state.d)
     fixed = dict(zip(surf, state.cells))
-    p = _randomized_completion(model, state.n, rng, fixed)
+    p = _randomized_completion(model, state.n, rng, fixed, checks)
     if surface_state(p) != state:
         raise AssertionError("completion does not realize the requested state")
     return p
@@ -111,9 +119,10 @@ def sample_same_state_group(
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    anchor_pattern = sample_admissible(model, n, rng)
+    checks = _cell_checks(model, n)
+    anchor_pattern = sample_admissible(model, n, rng, checks)
     anchor = surface_state(anchor_pattern)
     out = [anchor_pattern]
     while len(out) < count:
-        out.append(sample_with_state(model, anchor, rng))
+        out.append(sample_with_state(model, anchor, rng, checks))
     return out

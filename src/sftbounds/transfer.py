@@ -29,14 +29,20 @@ sets, the paper's hypothesis).  So the second vector is the first one
 itself, advanced once more when n-1 is odd: about half the products, on
 counts of about half the width.
 
-The walk's products all share one key structure, so it is compiled once
-per side (``_compile_product``): each phase becomes index arrays over the
-sorted live keys, and each product then runs as C-level gathers and adds
-over flat lists (``_apply_product``), with no dict per product.  The dict
-loop of ``_advance`` stays for the one-shot products, where compiling
-would cost more than it saves: the slice vector and every part of
-``state_counts``.  It is also the reference the compiled product is
-tested against.
+The walk's products all share one structure, so it is planned once per
+side (``_plan_product``).  Before phase p a live key is a pair (y, x): y
+the next slice's cells 0..p-1, x the previous slice's cells p..w-1.  The
+within-slice test on the new cell reads only y and the last-axis test
+only the first digit of x, so the phase's vector is held as a matrix over
+prefixes x suffixes, as Python lists, and the phase maps rows (or
+columns) to rows (or columns) by C-level ``map`` gathers and adds, one
+per row and symbol rather than one per key (``_apply_plan``).  The plan
+holds, per phase, index lists over the new suffixes and 0/1 masks over
+the prefixes, so it costs about (prefixes + suffixes) * q per phase,
+against prefixes * suffixes for a product.  The dict loop of
+``_advance`` stays for the one-shot products: the slice vector and every
+part of ``state_counts``, where the parts are small and dense.  It is
+also the reference the planned product is tested against.
 
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
@@ -52,9 +58,8 @@ shell cell, so every prefix is 0 and the key is the last cell's value.
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress, repeat
-from operator import add, eq, floordiv, mod, mul
+from operator import add, and_, floordiv, mod, mul
 
 from .models import SftModel, drop_last_axis
 from .enumeration import BudgetExceededError
@@ -168,93 +173,182 @@ def build_slice_space(
     return _advance(model, n, {0: 1}, free, phases, state_budget)
 
 
-def _compile_product(
+def _plan_product(
     model: SftModel,
     n: int,
     slices: list[int],
     last_masks: tuple[int, ...],
     phases: list,
     state_budget: int,
-) -> list:
-    """The product of ``_advance`` as index arrays over ``slices``.
+):
+    """The product of ``_advance`` as a walk over prefix x suffix matrices.
 
-    ``slices`` is ascending, and each of its keys is taken as live: the
-    live keys of every phase are those of the first product from the
-    all-ones vector (weights are positive), so the budget is refused where
-    ``_advance`` would refuse it on that product, and later products, whose
-    live keys are a subset, fit.  A vector is a list over the current keys
-    plus a trailing 0.
+    Before phase p a live key of ``_advance`` is a pair (y, x): y is the
+    next slice's cells 0..p-1 (prefix, cell j at digit j) and x the
+    previous slice's cells p..w-1 (suffix, cell p at digit 0).  The phase
+    maps (y, a + q*x') to (y + v*q^p, x'); the within-slice test on v reads
+    only y and the last-axis test only a.  So the vector of phase p is held
+    as a matrix over P_p x S_p, the prefixes and suffixes some slice
+    reaches: y + v*q^p is kept when v passes the within-slice test at y and
+    some a that allows v begins a suffix, and x' when a + q*x' is a suffix
+    for an a that a kept v reads.  A pair of P_p x S_p that is not a live
+    key (a padded pair) is reached from no slice, so it holds 0 in every
+    product and the counts stay exact.  The budget bounds the padded size
+    |P_p| * |S_p| of every phase, before any product runs.
 
-    Per phase a key is ``s = base*q + a``.  Destination ``(base, v)`` is
-    the key ``base + v*top``; it sums ``old[(base, a)]`` over the ``a``
-    whose last-axis mask holds v, and it exists when the within-slice
-    masks allow v at base and one of those sources is live.  Destinations
-    are listed v-major and base-ascending, which is ascending key order.
-    A phase is a list of blocks, one per v with destinations, and a block
-    holds one ``array('i')`` of source positions per such ``a``, with the
-    trailing 0's position where that source is not live.  When the product
-    does not reach every slice, one more step of one block puts its
-    outputs back in slice order, with zeros.
+    P_0 is the empty prefix and S_0 is ``slices`` (ascending).  Prefixes
+    are listed v-major, so P_w comes out ascending.  S_{p+1} is listed in
+    groups of the suffixes x' with the same set of a for which a + q*x' is
+    in S_p, so no gather reads an absent source.  Steps before ``switch``
+    run on rows over suffixes (one per prefix), the rest on columns over
+    prefixes (one per suffix); the layout turns once, at the first phase
+    where |P_p| >= |S_p|, so the inner lists stay the long side.
+
+    A row step lists, per kept v, the 0/1 mask over P_p of the prefixes
+    that take v (None when all do) and, per group, its size and the index
+    lists into S_p that it sums.  A column step lists (mask, output size)
+    per kept v, and per suffix of S_{p+1} a tuple, per kept v, of the
+    positions in S_p it sums.  ``remap`` puts the output back in slice
+    order, with zeros, when P_w is not every slice.  Returns
+    (steps, switch, remap), or None when a phase reaches nothing.
     """
     q = model.num_symbols
-    top = q ** (n ** (model.dimension - 1) - 1)
-    sources = [[a for a in range(q) if last_masks[a] >> v & 1] for v in range(q)]
-    keys = slices
+    w = len(phases)
+    reads = [[a for a in range(q) if last_masks[a] >> v & 1] for v in range(q)]
+    prefixes, suffixes = [0], slices
     steps = []
-    for checks in phases:
-        zero = len(keys)
-        bases = list(map(floordiv, keys, repeat(q)))
-        digits = list(map(mod, keys, repeat(q)))
-        # at[a]: base -> position of the live key (base, a)
-        at = []
-        for a in range(q):
-            sel = list(map(eq, digits, repeat(a)))
-            at.append(dict(zip(compress(bases, sel), compress(range(zero), sel))))
-        keys = []
-        blocks = []
-        for v, srcs in enumerate(sources):
-            # the bases with a live source for v, ascending; the first two
-            # cases only skip passes (about 15 % of a hard-square compile)
-            if len(srcs) == q:
-                cand = list(dict.fromkeys(bases))
-            elif len(srcs) == 1:
-                cand = list(at[srcs[0]])
-            else:
-                reads = [a in srcs for a in range(q)]
-                live = compress(bases, map(reads.__getitem__, digits))
-                cand = list(dict.fromkeys(live))
-            for div, wmasks in checks:
+    switch = w
+    for p, checks in enumerate(phases):
+        if switch == w and len(prefixes) >= len(suffixes):
+            switch = p
+        # at[a]: x' -> position of a + q*x' in the suffixes
+        at = [{} for _ in range(q)]
+        for i, x in enumerate(suffixes):
+            at[x % q][x // q] = i
+        # each within-slice predecessor of cell p, as a digit of each prefix:
+        # ``div`` places it in the key of ``_advance``, past the suffix
+        held = []
+        for div, wmasks in checks:
+            ys = map(floordiv, prefixes, repeat(div // q ** (w - p)))
+            held.append((list(map(mod, ys, repeat(q))), wmasks))
+        kept = []
+        for v in range(q):
+            if not any(at[a] for a in reads[v]):
+                continue
+            mask = None
+            for digits, wmasks in held:
                 ok = [m >> v & 1 for m in wmasks]
                 if not all(ok):
-                    # s // div is base // (div // q): div is a power of q above 1
-                    held = map(mod, map(floordiv, cand, repeat(div // q)), repeat(q))
-                    cand = list(compress(cand, map(ok.__getitem__, held)))
-            if cand:
-                cols = [array("i", map(at[a].get, cand, repeat(zero))) for a in srcs]
-                blocks.append(cols)
-                keys.extend(map(add, cand, repeat(v * top)))
-        if len(keys) > state_budget:
+                    sel = map(ok.__getitem__, digits)
+                    mask = list(sel if mask is None else map(and_, mask, sel))
+            size = len(prefixes) if mask is None else sum(mask)
+            if size:
+                kept.append((v, mask, size))
+        if not kept:
+            return None
+        # the suffixes some kept v reads, in groups by which a + q*x' exist
+        readable = sorted({a for v, _, _ in kept for a in reads[v]})
+        groups = {(): set().union(*(at[a] for a in readable))}
+        for a in readable:
+            split = {}
+            for sig, g in groups.items():
+                for key, part in (
+                    (sig + (a,), g.intersection(at[a])),
+                    (sig, g.difference(at[a])),
+                ):
+                    if part:
+                        split[key] = part
+            groups = split
+        groups = {sig: list(g) for sig, g in groups.items()}
+        top = q ** p
+        new = []
+        for v, mask, _ in kept:
+            ys = prefixes if mask is None else compress(prefixes, mask)
+            new.extend(map(add, ys, repeat(v * top)))
+        prefixes = new
+        suffixes = [x for g in groups.values() for x in g]
+        if len(prefixes) * len(suffixes) > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
-        steps.append(blocks)
-    if keys != slices:
-        at_key = dict(zip(keys, range(len(keys))))
-        steps.append([[array("i", map(at_key.get, slices, repeat(len(keys))))]])
-    return steps
+        # per kept v and group: its size and the index lists it sums
+        index = {
+            sig: {a: list(map(at[a].__getitem__, g)) for a in sig}
+            for sig, g in groups.items()
+        }
+        by_v = [
+            [(len(g), [index[sig][a] for a in reads[v] if a in sig])
+             for sig, g in groups.items()]
+            for v, _, _ in kept
+        ]
+        if p < switch:
+            steps.append(list(zip([mask for _, mask, _ in kept], by_v)))
+        else:
+            # per new suffix, the source positions per kept v
+            sources = []
+            for parts in zip(*by_v):
+                sources.extend(zip(*(
+                    zip(*idx) if idx else repeat((), size) for size, idx in parts
+                )))
+            steps.append(([(mask, size) for _, mask, size in kept], sources))
+    remap = None
+    if prefixes != slices:
+        pos = dict(zip(prefixes, range(len(prefixes))))
+        remap = list(map(pos.get, slices, repeat(len(prefixes))))
+    return steps, switch, remap
 
 
-def _apply_product(steps: list, vec: list[int]) -> list[int]:
-    """One product compiled by ``_compile_product``: gathers and adds."""
-    for blocks in steps:
-        get = vec.__getitem__
-        vec = []
-        for cols in blocks:
-            it = map(get, cols[0])
-            for col in cols[1:]:
-                it = map(add, it, map(get, col))
-            vec.extend(it)
-        vec.append(0)
+def _rows_step(rows: list, step: list) -> list:
+    """One prefix-major phase: per kept v and prefix, gather and add."""
+    out = []
+    for mask, groups in step:
+        for row in rows if mask is None else compress(rows, mask):
+            get = row.__getitem__
+            new = []
+            for size, idx in groups:
+                if idx:
+                    it = map(get, idx[0])
+                    for more in idx[1:]:
+                        it = map(add, it, map(get, more))
+                    new.extend(it)
+                else:
+                    new.extend(repeat(0, size))
+            out.append(new)
+    return out
+
+
+def _columns_step(cols: list, step: tuple) -> list:
+    """One suffix-major phase: per new suffix and kept v, add the source
+    columns on the prefixes that take v."""
+    kept, sources = step
+    out = []
+    for srcs in sources:
+        new = []
+        for (mask, size), js in zip(kept, srcs):
+            if not js:
+                new.extend(repeat(0, size))
+                continue
+            it = None
+            for j in js:
+                col = cols[j] if mask is None else compress(cols[j], mask)
+                it = col if it is None else map(add, it, col)
+            new.extend(it)
+        out.append(new)
+    return out
+
+
+def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
+    """One product planned by ``_plan_product``, on a vector over the slices."""
+    steps, switch, remap = plan
+    m = [vec]  # one row, for the empty prefix
+    for step in steps[:switch]:
+        m = _rows_step(m, step)
+    m = list(zip(*m))  # rows over suffixes to columns over prefixes
+    for step in steps[switch:]:
+        m = _columns_step(m, step)
+    vec = m[0]  # one column, for the empty suffix
+    if remap is not None:
+        vec = list(map([*vec, 0].__getitem__, remap))
     return vec
 
 
@@ -268,13 +362,17 @@ def count_via_transfer(
         raise ValueError(f"need n >= 1, got {n}")
     phases = _phase_checks(model, n)
     slices = sorted(build_slice_space(model, n, phases, state_budget))
+    if n == 1:  # no product
+        return len(slices)
     masks = model.allowed_masks[model.dimension - 1]
-    steps = _compile_product(model, n, slices, masks, phases, state_budget)
-    v = [1] * len(slices) + [0]
+    plan = _plan_product(model, n, slices, masks, phases, state_budget)
+    if plan is None:  # the product of any vector is 0
+        return 0
+    v = [1] * len(slices)
     for _ in range((n - 1) // 2):
-        v = _apply_product(steps, v)
+        v = _apply_plan(plan, v)
     # T = T^T: T^a 1 is also the first a steps of T^b 1
-    u = _apply_product(steps, v) if (n - 1) % 2 else v
+    u = _apply_plan(plan, v) if (n - 1) % 2 else v
     return sum(map(mul, v, u))
 
 

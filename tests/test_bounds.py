@@ -61,6 +61,20 @@ def test_qd_recurrence_property(d, n):
     assert verify_qd_recurrence(d, n)
 
 
+def qd_recurrence_by_fractions(d, n):
+    """The recurrence on the Fraction form of q_d: the oracle for the
+    integer comparison of ``verify_qd_recurrence``."""
+    lhs = q_poly_by_terms(d, 2 * n) + (2 ** d - 1) * ((n + 1) ** d - n ** d)
+    return lhs == 2 ** d * q_poly_by_terms(d, n)
+
+
+def test_qd_recurrence_matches_fraction_form():
+    # the sweep that ``verify`` runs, and past it
+    for d in range(1, 9):
+        for n in range(1, 80):
+            assert verify_qd_recurrence(d, n) == qd_recurrence_by_fractions(d, n)
+
+
 def test_qd_recurrence_explicit_instances():
     # d=2, n=1: 7 + 3*3 = 16 = 4*4 ; d=3, n=1: 29 + 7*7 = 78 = 8*(39/4)
     assert q_poly(2, 2) + 3 * 3 == 4 * q_poly(2, 1) == 16

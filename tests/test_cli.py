@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from sftbounds import model_from_doc
 from sftbounds.cli import main
 from sftbounds.enumeration import count_patterns_dfs
+from sftbounds.sampling import SamplingError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HARD_SQUARE_DOC = {
@@ -129,6 +130,49 @@ def test_verify_json(capsys):
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert all(check["pass"] for check in doc["checks"])
+
+
+@pytest.mark.parametrize("samples", ["3", "20"])
+def test_verify_without_patterns_leaves_sampling_undecided(capsys, samples):
+    # coloring:1 has C_2 = 0: no group can be drawn, whatever --samples is
+    code, out, _ = run_cli(
+        capsys, "--builtin", "coloring:1", "--dim", "2", "--seed", "1",
+        "verify", "--n", "2", "--samples", samples,
+    )
+    assert code == 0
+    assert f"samples ({samples} draws, seed 1), 0 checked ... UNDECIDED" in out
+    assert "all checks passed" not in out
+    assert out.rstrip().endswith("no check failed; 1 undecided")
+    code, out, _ = run_cli(
+        capsys, "--builtin", "coloring:1", "--dim", "2", "--seed", "1",
+        "--format", "json", "verify", "--n", "2", "--samples", samples,
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert [check["pass"] for check in doc["checks"]] == [True] * 4 + [None]
+    assert doc["all_pass"] is None
+
+
+def test_verify_names_the_draws_it_checked(capsys, monkeypatch):
+    import sftbounds.cli as cli_mod
+
+    real = cli_mod.sample_same_state_group
+    calls = []
+
+    def every_other_draw_fails(*args):
+        calls.append(None)
+        if len(calls) % 2:
+            raise SamplingError("no admissible pattern found")
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "sample_same_state_group", every_other_draw_fails)
+    code, out, _ = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "--seed", "1",
+        "verify", "--n", "2", "--samples", "6",
+    )
+    assert code == 0
+    assert "samples (6 draws, seed 1), 3 checked ... PASS" in out
+    assert "all checks passed" in out
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -20,9 +20,9 @@ from sftbounds.patterns import decode, surface_indices
 from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
     _advance,
-    _apply_product,
-    _compile_product,
+    _apply_plan,
     _phase_checks,
+    _plan_product,
     build_slice_space,
     state_counts,
 )
@@ -172,27 +172,27 @@ def test_slice_budget_refused_before_any_product(
         dims.append(model.dimension)
         return real(model, *args)
 
-    real_compile = transfer_mod._compile_product
-    compiled = []
+    real_plan = transfer_mod._plan_product
+    planned = []
 
-    def compile_spy(model, *args):
-        compiled.append(model.dimension)
-        return real_compile(model, *args)
+    def plan_spy(model, *args):
+        planned.append(model.dimension)
+        return real_plan(model, *args)
 
     monkeypatch.setattr(transfer_mod, "_advance", spy)
-    monkeypatch.setattr(transfer_mod, "_compile_product", compile_spy)
+    monkeypatch.setattr(transfer_mod, "_plan_product", plan_spy)
     # F(8) = 21 slices at side 6 in d = 2; C_3 = 63 slices at side 3 in d = 3
     with pytest.raises(BudgetExceededError, match="more than 20 slices at side 6"):
         count_via_transfer(hard_square2, 6, state_budget=20)
-    # only the d = 1 sub-model count ran products, and only it compiled one
+    # only the d = 1 sub-model count ran products, and only it planned one
     assert dims and set(dims) == {1}
-    assert compiled == [1]
+    assert planned == [1]
     dims.clear()
-    compiled.clear()
+    planned.clear()
     with pytest.raises(BudgetExceededError, match="more than 62 slices at side 3"):
         count_via_transfer(hard_square3, 3, state_budget=62)
     # only the sub-model counts, in d = 2 and below it d = 1, ran products
-    assert set(dims) == set(compiled) == {1, 2}
+    assert set(dims) == set(planned) == {1, 2}
 
 
 def test_transitions_hard_square_n2(hard_square2):
@@ -325,12 +325,31 @@ def test_transfer_agrees_with_dfs_random(model, n):
     assert count_via_transfer(model, n) == expected
 
 
-class CompiledProduct:
-    """The compiled product of one side, on dicts keyed by slice."""
+@st.composite
+def symmetric_models_d3(draw):
+    """A random symmetric d = 3 model and a side: the last slice cell of a
+    side-2 or side-3 slice has two within-slice checks."""
+    q = draw(st.integers(1, 3))
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(q)))
+    forbidden = []
+    for _ in range(3):
+        base = draw(
+            st.frozensets(
+                st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                max_size=4,
+            )
+        )
+        forbidden.append(frozenset(base | {(b, a) for a, b in base}))
+    n = draw(st.integers(1, 3 if q <= 2 else 2))
+    return SftModel(3, alphabet, tuple(forbidden)), n
+
+
+class PlannedProduct:
+    """The planned product of one side, on dicts keyed by slice."""
 
     def __init__(self, model, n):
         self.slices = sorted(slice_vector(model, n))
-        self.steps = _compile_product(
+        self.plan = _plan_product(
             model,
             n,
             self.slices,
@@ -341,34 +360,60 @@ class CompiledProduct:
 
     def __call__(self, dist):
         assert set(dist) <= set(self.slices)
-        out = _apply_product(self.steps, [dist.get(k, 0) for k in self.slices] + [0])
-        assert len(out) == len(self.slices) + 1 and out[-1] == 0
+        if self.plan is None:
+            return {}
+        out = _apply_plan(self.plan, [dist.get(k, 0) for k in self.slices])
+        assert len(out) == len(self.slices)
         return {k: c for k, c in zip(self.slices, out) if c}
 
+    def factor_sizes(self):
+        """(|P_p|, |S_p|) after each phase, read off the plan's steps."""
+        steps, switch, _ = self.plan
+        sizes = []
+        rows = 1
+        for p, step in enumerate(steps):
+            if p < switch:
+                rows = sum(rows if mask is None else sum(mask) for mask, _ in step)
+                cols = sum(size for size, _ in step[0][1])
+            else:
+                kept, sources = step
+                rows = sum(size for _, size in kept)
+                cols = len(sources)
+            sizes.append((rows, cols))
+        return sizes
 
-def assert_compiled_matches_advance(model, n):
+
+def assert_planned_matches_advance(model, n, exact_padding=False):
     """Key by key against ``_advance``: the first product, the one after it
     (on the support it reached), and a product of weights past 64 bits on
-    a random part of the slices."""
+    a random part of the slices.  Each phase's padded matrix covers the
+    live keys of that phase of ``_advance``, exactly if ``exact_padding``."""
     masks = model.allowed_masks[model.dimension - 1]
     phases = _phase_checks(model, n)
-    compiled = CompiledProduct(model, n)
+    planned = PlannedProduct(model, n)
     ones = slice_vector(model, n)
-    # each phase lists exactly the live keys of that phase of _advance
     dist = ones
-    for checks, blocks in zip(phases, compiled.steps):
+    live = []
+    for checks in phases:
         dist = _advance(model, n, dist, masks, [checks], DEFAULT_STATE_BUDGET)
-        assert sum(len(cols[0]) for cols in blocks) == len(dist)
+        live.append(len(dist))
+    if planned.plan is None:
+        assert live[-1] == 0
+    else:
+        for (rows, cols), keys in zip(planned.factor_sizes(), live):
+            assert rows * cols >= keys, (model, n)
+            if exact_padding:
+                assert rows * cols == keys, (model, n)
     rng = random.Random(n)
     mixed = {k: rng.randrange(1, 2 ** 70) for k in ones if rng.random() < 0.6}
     for dist in (ones, mixed):
         for _ in range(2):
             expected = _advance(model, n, dist, masks, phases, DEFAULT_STATE_BUDGET)
-            assert compiled(dist) == expected, (model, n)
+            assert planned(dist) == expected, (model, n)
             dist = expected
 
 
-def test_compiled_product_matches_advance(hard_square2, coloring3_d2):
+def test_planned_product_matches_advance(hard_square2, coloring3_d2):
     every_pair = frozenset(itertools.product((0, 1), repeat=2))
     cases = (
         [(builtin_model("hard-square", 1), n) for n in range(1, 9)]
@@ -385,13 +430,33 @@ def test_compiled_product_matches_advance(hard_square2, coloring3_d2):
         + [(forbid_last_axis_model(), n) for n in range(1, 5)]
     )
     for model, n in cases:
-        assert_compiled_matches_advance(model, n)
+        assert_planned_matches_advance(model, n)
+
+
+def test_planned_product_pads_nothing(hard_square2, hard_square3, coloring3_d2):
+    # on these models each phase's live keys are a full prefix x suffix product
+    for model, n in [
+        (hard_square2, 9),
+        (coloring3_d2, 4),
+        (hard_square3, 3),
+        (forbid_last_axis_model(), 4),
+        (forbid_axis_model(), 4),
+        (single_symbol_forced(), 4),
+        (full_shift(2, 2), 4),
+    ]:
+        assert_planned_matches_advance(model, n, exact_padding=True)
 
 
 @settings(max_examples=40, deadline=None)
 @given(symmetric_models_d2(), st.integers(1, 4))
-def test_compiled_product_matches_advance_random(model, n):
-    assert_compiled_matches_advance(model, n)
+def test_planned_product_matches_advance_random(model, n):
+    assert_planned_matches_advance(model, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_models_d3())
+def test_planned_product_matches_advance_random_d3(case):
+    assert_planned_matches_advance(*case)
 
 
 def dict_half_walk(model, n, state_budget):
