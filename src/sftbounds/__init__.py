@@ -22,8 +22,8 @@ from .patterns import (
     restrict,
     surface_state,
 )
-from .enumeration import BudgetExceededError
 from .transfer import (
+    BudgetExceededError,
     count_patterns,
     count_via_transfer,
 )

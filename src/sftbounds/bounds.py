@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .models import SftModel, model_to_doc
-from .enumeration import BudgetExceededError
-from .transfer import count_patterns
+from .transfer import BudgetExceededError, count_patterns
 from .gluing import verify_key_inequality
 
 

@@ -21,8 +21,7 @@ import sys
 
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
 from .patterns import format_pattern, is_locally_admissible
-from .enumeration import BudgetExceededError
-from .transfer import count_patterns
+from .transfer import BudgetExceededError, count_patterns
 from .gluing import (
     GlueError,
     GlueInput,

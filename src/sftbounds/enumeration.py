@@ -1,5 +1,4 @@
-"""Depth-first enumeration of locally admissible patterns, and the
-budget error shared by every exact computation.
+"""Depth-first enumeration of locally admissible patterns.
 
 The package counts with the slice transfer (``transfer.count_patterns``);
 nothing in it runs this search.  ``count_patterns_dfs``,
@@ -10,7 +9,8 @@ per-cell neighbor masks) is shared with the sampler.
 The search assigns cells in linear-index order, so each new cell is
 constrained only by its already-placed predecessor neighbors (at most one
 per axis); forbidden branches are pruned immediately.  Counts are plain
-Python integers, hence exact at any size.
+Python integers, hence exact at any size.  The node budget raises the
+package's one budget error, ``transfer.BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -19,12 +19,9 @@ from typing import Iterator
 
 from .models import SftModel
 from .patterns import CubePattern, SurfaceState, surface_indices
+from .transfer import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 50_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The instance is too large for the requested exact computation."""
 
 
 def _cell_checks(model: SftModel, n: int):

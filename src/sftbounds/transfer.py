@@ -12,15 +12,23 @@ has no separate case for it.
 
 The relation is never materialized as an edge list (it is far too dense at
 interesting sizes).  Instead each vector-through-relation product is
-applied one slice cell at a time: live states are packed base-q integers
-holding the undecided suffix of the previous slice and the decided prefix
-of the next one, with exact integer weights.  After a full product the
-live states are again packed slices.  The all-ones slice vector is the
-first such product, from an all-zeros previous slice with no last-axis
-constraint, so every vector of the walk comes from the same kernel.  For
-d >= 2 its size is the sub-model's C_n, which is counted (by this same
-transfer, one dimension down) and checked against the state budget
-before any product runs.
+applied one slice cell at a time.  Before phase p a live state is a pair
+(y, x): y the next slice's cells 0..p-1, x the previous slice's cells
+p..w-1.  The within-slice test on the new cell reads only y and the
+last-axis test only the first digit of x, so the phase's vector is held
+as a matrix over prefixes x suffixes, as Python lists, and the phase maps
+rows (or columns) to rows (or columns) by C-level ``map`` gathers and
+adds, one per row and symbol rather than one per state (``_apply_plan``).
+Every product of a side shares one structure, so it is planned once per
+side (``_plan_product``): per phase, index lists over the new suffixes
+and 0/1 masks over the prefixes, about (prefixes + suffixes) * q per
+phase, against prefixes * suffixes for a product.
+
+The slices are the prefixes of full length, so the all-ones slice vector
+comes from the same prefix recursion as the plan (``_extend_prefixes``),
+with no last-axis constraint.  For d >= 2 its size is the sub-model's
+C_n, which is counted (by this same transfer, one dimension down) and
+checked against the state budget before any phase runs.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <T^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``, since
@@ -29,125 +37,91 @@ sets, the paper's hypothesis).  So the second vector is the first one
 itself, advanced once more when n-1 is odd: about half the products, on
 counts of about half the width.
 
-The walk's products all share one structure, so it is planned once per
-side (``_plan_product``).  Before phase p a live key is a pair (y, x): y
-the next slice's cells 0..p-1, x the previous slice's cells p..w-1.  The
-within-slice test on the new cell reads only y and the last-axis test
-only the first digit of x, so the phase's vector is held as a matrix over
-prefixes x suffixes, as Python lists, and the phase maps rows (or
-columns) to rows (or columns) by C-level ``map`` gathers and adds, one
-per row and symbol rather than one per key (``_apply_plan``).  The plan
-holds, per phase, index lists over the new suffixes and 0/1 masks over
-the prefixes, so it costs about (prefixes + suffixes) * q per phase,
-against prefixes * suffixes for a product.  The dict loop of
-``_advance`` stays for the one-shot products: the slice vector and every
-part of ``state_counts``, where the parts are small and dense.  It is
-also the reference the planned product is tested against.
-
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
 some coordinate n-1) is the last slice plus, in every earlier slice, the
-cells with some ``y_k = n-1`` for k < d.  So the slice vectors are kept
-grouped by the shell digits the walk has passed: before each product a
-group is split by the current slice's shell digits, and each part is
-pushed through the same full (not halved) product.  After n-1 products a
-(shell prefix, last slice) key is one boundary state, and its weight is
-the number of patterns with that state.  In d = 1 no earlier slice has a
-shell cell, so every prefix is 0 and the key is the last cell's value.
+cells with some ``y_k = n-1`` for k < d.  The walk runs the full (not
+halved) planned product n-1 times, once per step for every shell prefix
+at once: each entry of the vector packs one count per shell prefix in
+fixed-width bit fields of one integer, and before each product an entry
+moves to the fields of the prefixes that append its slice's shell digits
+by one left shift.  After n-1 products a (shell prefix, last slice) key
+is one boundary state, and its field holds the number of patterns with
+that state.  In d = 1 no earlier slice has a shell cell, so every prefix
+is 0 and the key is the last cell's value.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import add, and_, floordiv, mod, mul
+import sys
+from itertools import chain, compress, repeat
+from operator import add, and_, floordiv, lshift, mod, mul
 
 from .models import SftModel, drop_last_axis
-from .enumeration import BudgetExceededError
 from .patterns import decode
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
 
-def _phase_checks(model: SftModel, n: int):
-    """Per slice cell: (divisor, masks) for each within-slice predecessor.
+class BudgetExceededError(RuntimeError):
+    """The instance is too large for the requested exact computation."""
 
-    The previous-slice constraint (oldest packed digit) is implicit and
-    applied unconditionally by the advance loop.
+
+def _phase_checks(model: SftModel, n: int):
+    """Per slice cell p: (divisor, masks) for each within-slice predecessor.
+
+    The predecessor along axis k is cell p - n^(d-2-k), so it is digit
+    ``prefix // divisor % q`` of a prefix holding cells 0..p-1.  The
+    previous-slice constraint is not listed: the plan applies it at
+    every cell.
     """
     d = model.dimension
     q = model.num_symbols
-    w = n ** (d - 1)
     masks = model.allowed_masks
     plans = []
-    for p in range(w):
+    for p in range(n ** (d - 1)):
         y = decode(p, n, d - 1)
-        cs = []
-        for k in range(d - 1):
-            if y[k] > 0:
-                s_k = n ** (d - 2 - k)
-                cs.append((q ** (w - s_k), masks[k]))
-        plans.append(tuple(cs))
+        plans.append(tuple(
+            (q ** (p - n ** (d - 2 - k)), masks[k])
+            for k in range(d - 1)
+            if y[k] > 0
+        ))
     return plans
 
 
-def _advance(
-    model: SftModel,
-    n: int,
-    dist: dict[int, int],
-    last_masks: tuple[int, ...],
-    phases: list,
-    state_budget: int,
-):
-    """One vector-through-relation product, factored over slice cells.
+def _extend_prefixes(
+    prefixes: list[int], checks: tuple, p: int, q: int, values
+) -> tuple[list, list[int]]:
+    """One step of the prefix recursion: the next slice's cell p.
 
-    ``last_masks[a]`` is the set of values the next slice may hold where
-    the previous one holds a; ``phases`` is ``_phase_checks(model, n)``.
+    ``prefixes`` pack cells 0..p-1 (cell j at digit j) and ``checks`` is
+    ``_phase_checks``'s entry for cell p.  Lists (v, mask, size) for each v
+    of ``values`` that some prefix takes, with ``mask`` the 0/1 list over
+    ``prefixes`` of those that take v (None when all do), and returns it
+    with the extended prefixes, v-major: ascending when ``prefixes`` are.
     """
-    d = model.dimension
-    q = model.num_symbols
-    w = n ** (d - 1)
-    top = q ** (w - 1)
-    vfm = model.values_for_mask
-    # One loop per number of within-slice checks (0, 1, more), kept on
-    # measurement: a single generic loop was 12-21 % slower on hard-square
-    # C_15 and 9 % or more on coloring:3 C_11 (medians of 7 runs, three
-    # sessions, same counts), and within noise on hard-square d = 3 C_4.
-    for checks in phases:
-        new: dict[int, int] = {}
-        get = new.get
-        if not checks:
-            for s, c in dist.items():
-                m = last_masks[s % q]
-                if m:
-                    base = s // q
-                    for v in vfm[m]:
-                        k = base + v * top
-                        new[k] = get(k, 0) + c
-        elif len(checks) == 1:
-            div, wmasks = checks[0]
-            for s, c in dist.items():
-                m = last_masks[s % q] & wmasks[(s // div) % q]
-                if m:
-                    base = s // q
-                    for v in vfm[m]:
-                        k = base + v * top
-                        new[k] = get(k, 0) + c
-        else:
-            for s, c in dist.items():
-                m = last_masks[s % q]
-                for div, wmasks in checks:
-                    m &= wmasks[(s // div) % q]
-                if m:
-                    base = s // q
-                    for v in vfm[m]:
-                        k = base + v * top
-                        new[k] = get(k, 0) + c
-        if len(new) > state_budget:
-            raise BudgetExceededError(
-                f"more than {state_budget} live transfer states at side {n}"
-            )
-        dist = new
-    return dist
+    # each within-slice predecessor of cell p, as a digit of each prefix
+    held = []
+    for div, wmasks in checks:
+        ys = map(floordiv, prefixes, repeat(div))
+        held.append((list(map(mod, ys, repeat(q))), wmasks))
+    kept = []
+    for v in values:
+        mask = None
+        for digits, wmasks in held:
+            ok = [m >> v & 1 for m in wmasks]
+            if not all(ok):
+                sel = map(ok.__getitem__, digits)
+                mask = list(sel if mask is None else map(and_, mask, sel))
+        size = len(prefixes) if mask is None else sum(mask)
+        if size:
+            kept.append((v, mask, size))
+    top = q ** p
+    new = []
+    for v, mask, _ in kept:
+        ys = prefixes if mask is None else compress(prefixes, mask)
+        new.extend(map(add, ys, repeat(v * top)))
+    return kept, new
 
 
 def build_slice_space(
@@ -158,19 +132,27 @@ def build_slice_space(
 ) -> dict[int, int]:
     """The all-ones vector over the admissible (d-1)-cube slices of side n.
 
-    It is the first product: an all-zeros previous slice pushed through the
-    relation with no last-axis constraint, so each admissible slice is
-    reached once, as a packed key with weight 1.  For d >= 2 the slice
-    count is the sub-model's C_n, checked against ``state_budget`` before
-    any product; in d = 1 the slices are the q symbols.
+    The slices are the prefixes of the full slice length, listed by the
+    prefix recursion the plan of a product uses (``_extend_prefixes``), so
+    the keys come out ascending.  Each phase's prefixes are checked against
+    ``state_budget``.  For d >= 2 the slice count is the sub-model's C_n,
+    checked against the budget before any phase runs; in d = 1 the slices
+    are the q symbols.
     """
     if (
         model.dimension > 1
         and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
     ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
-    free = (model.full_mask,) * model.num_symbols
-    return _advance(model, n, {0: 1}, free, phases, state_budget)
+    q = model.num_symbols
+    prefixes = [0]
+    for p, checks in enumerate(phases):
+        _, prefixes = _extend_prefixes(prefixes, checks, p, q, range(q))
+        if len(prefixes) > state_budget:
+            raise BudgetExceededError(
+                f"more than {state_budget} live transfer states at side {n}"
+            )
+    return dict.fromkeys(prefixes, 1)
 
 
 def _plan_product(
@@ -181,20 +163,24 @@ def _plan_product(
     phases: list,
     state_budget: int,
 ):
-    """The product of ``_advance`` as a walk over prefix x suffix matrices.
+    """One vector-through-relation product as a walk over prefix x suffix
+    matrices, factored over the slice cells.
 
-    Before phase p a live key of ``_advance`` is a pair (y, x): y is the
-    next slice's cells 0..p-1 (prefix, cell j at digit j) and x the
-    previous slice's cells p..w-1 (suffix, cell p at digit 0).  The phase
+    Before phase p a live state is a pair (y, x): y is the next slice's
+    cells 0..p-1 (prefix, cell j at digit j) and x the previous slice's
+    cells p..w-1 (suffix, cell p at digit 0).  ``last_masks[a]`` is the
+    set of values the next slice may hold where the previous one holds a,
+    and ``phases`` is ``_phase_checks(model, n)``.  The phase
     maps (y, a + q*x') to (y + v*q^p, x'); the within-slice test on v reads
     only y and the last-axis test only a.  So the vector of phase p is held
     as a matrix over P_p x S_p, the prefixes and suffixes some slice
     reaches: y + v*q^p is kept when v passes the within-slice test at y and
-    some a that allows v begins a suffix, and x' when a + q*x' is a suffix
-    for an a that a kept v reads.  A pair of P_p x S_p that is not a live
-    key (a padded pair) is reached from no slice, so it holds 0 in every
-    product and the counts stay exact.  The budget bounds the padded size
-    |P_p| * |S_p| of every phase, before any product runs.
+    some a that allows v begins a suffix (``_extend_prefixes``), and x' when
+    a + q*x' is a suffix for an a that a kept v reads.  A pair of P_p x S_p
+    that is not a live state (a padded pair) is reached from no slice, so
+    it holds 0 in every product and the counts stay exact.  The budget
+    bounds the padded size |P_p| * |S_p| of every phase, before any
+    product runs.
 
     P_0 is the empty prefix and S_0 is ``slices`` (ascending).  Prefixes
     are listed v-major, so P_w comes out ascending.  S_{p+1} is listed in
@@ -225,25 +211,8 @@ def _plan_product(
         at = [{} for _ in range(q)]
         for i, x in enumerate(suffixes):
             at[x % q][x // q] = i
-        # each within-slice predecessor of cell p, as a digit of each prefix:
-        # ``div`` places it in the key of ``_advance``, past the suffix
-        held = []
-        for div, wmasks in checks:
-            ys = map(floordiv, prefixes, repeat(div // q ** (w - p)))
-            held.append((list(map(mod, ys, repeat(q))), wmasks))
-        kept = []
-        for v in range(q):
-            if not any(at[a] for a in reads[v]):
-                continue
-            mask = None
-            for digits, wmasks in held:
-                ok = [m >> v & 1 for m in wmasks]
-                if not all(ok):
-                    sel = map(ok.__getitem__, digits)
-                    mask = list(sel if mask is None else map(and_, mask, sel))
-            size = len(prefixes) if mask is None else sum(mask)
-            if size:
-                kept.append((v, mask, size))
+        readable = [v for v in range(q) if any(at[a] for a in reads[v])]
+        kept, new = _extend_prefixes(prefixes, checks, p, q, readable)
         if not kept:
             return None
         # the suffixes some kept v reads, in groups by which a + q*x' exist
@@ -260,11 +229,6 @@ def _plan_product(
                         split[key] = part
             groups = split
         groups = {sig: list(g) for sig, g in groups.items()}
-        top = q ** p
-        new = []
-        for v, mask, _ in kept:
-            ys = prefixes if mask is None else compress(prefixes, mask)
-            new.extend(map(add, ys, repeat(v * top)))
         prefixes = new
         suffixes = [x for g in groups.values() for x in g]
         if len(prefixes) * len(suffixes) > state_budget:
@@ -352,6 +316,28 @@ def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
     return vec
 
 
+def _planned_side(
+    model: SftModel, n: int, state_budget: int, fields: int = 1
+) -> tuple[list[int], tuple | None]:
+    """The slices of side n, ascending, and the plan of the product of
+    side n (None when n == 1 or when the product of any vector is 0).
+
+    ``fields`` counts the keys each slice's entry holds: ``fields`` times
+    the slice count is checked against the budget before the plan is made
+    (for a count, ``fields`` is 1 and the slices already fit).
+    """
+    phases = _phase_checks(model, n)
+    slices = list(build_slice_space(model, n, phases, state_budget))
+    if fields * len(slices) > state_budget:
+        raise BudgetExceededError(
+            f"more than {state_budget} boundary-state keys at side {n}"
+        )
+    if n == 1:  # no product
+        return slices, None
+    masks = model.allowed_masks[model.dimension - 1]
+    return slices, _plan_product(model, n, slices, masks, phases, state_budget)
+
+
 def count_via_transfer(
     model: SftModel,
     n: int,
@@ -360,12 +346,9 @@ def count_via_transfer(
     """Exact cube count via the slice decomposition."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    phases = _phase_checks(model, n)
-    slices = sorted(build_slice_space(model, n, phases, state_budget))
-    if n == 1:  # no product
+    slices, plan = _planned_side(model, n, state_budget)
+    if n == 1:
         return len(slices)
-    masks = model.allowed_masks[model.dimension - 1]
-    plan = _plan_product(model, n, slices, masks, phases, state_budget)
     if plan is None:  # the product of any vector is 0
         return 0
     v = [1] * len(slices)
@@ -383,45 +366,90 @@ def state_counts(
 ) -> dict[tuple[int, int], int]:
     """Exact pattern count per realized boundary state; values sum to C_n.
 
-    The shell-keyed slice walk, keyed by (prefix, last slice): the last
-    slice is packed as in the transfer, and the prefix holds, for slices
-    0..n-2 in turn, the digits of that slice's shell cells in ascending
-    cell order, as one base-q integer (slice 0 most significant).  The
-    keys are one-to-one with the realized states; the caller that only
-    needs the values never decodes them.
+    Keyed by (prefix, last slice): the last slice is packed as in the
+    transfer, and the prefix holds, for slices 0..n-2 in turn, the digits
+    of that slice's h shell cells in ascending cell order, as one base-q
+    integer (slice 0 most significant).  The keys are one-to-one with the
+    realized states; the caller that only needs the values never decodes
+    them.
+
+    The walk runs the planned product n-1 times on one vector whose entry
+    for slice s packs a count per shell prefix in W-bit fields, with slice
+    0's digits in the least significant place: field f = sum_j c_j Q^j,
+    Q = q^h, at bits [f*W, (f+1)*W), where c_j is the code of slice j's
+    shell digits (first shell cell most significant).  Before step k the
+    entry of slice s moves to the fields that append s's code, one left
+    shift by code(s) * Q^k * W bits, so an entry holds Q^(k+1) fields
+    after step k.  The product is linear and maps every field alike, so
+    after n-1 steps field f of slice s is the count of key (g, s), where g
+    lists the same codes slice 0 first; ``_unpack`` keys f by g.  The
+    budget bounds the final vector, Q^(n-1) fields per slice, before any
+    product.  It does not bound the walk's peak: a phase holds up to
+    prefixes x suffixes entries (at most the budget, by the plan's own
+    check), each of up to Q^(n-1) fields.
+
+    No field carries into the next.  With m slices, after k products a
+    field holds the number of walks s_0..s_k that end in its slice (and
+    pass its prefix's shell digits), at most m^k.  Within a product, an
+    entry of phase p sums the entries of distinct previous slices (those
+    sharing the suffix of cells p..w-1), so it is at most m * m^k.  With
+    k <= n-2 every entry, final or intermediate, is at most m^(n-1), and
+    m^(n-1) < 2^((n-1) * b) with b = m.bit_length().  W is (n-1) * b
+    rounded up to whole 64-bit words, for the unpacking.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = model.dimension
     q = model.num_symbols
-    phases = _phase_checks(model, n)
-    forward = model.allowed_masks[d - 1]
     # q^p for each slice cell p on the shell, ascending
     shell = [q ** p for p in range(n ** (d - 1)) if n - 1 in decode(p, n, d - 1)]
-    groups = {0: build_slice_space(model, n, phases, state_budget)}
+    block = q ** len(shell)
+    slices, plan = _planned_side(model, n, state_budget, block ** (n - 1))
+    if n == 1:
+        return dict.fromkeys(zip(repeat(0), slices), 1)
+    if plan is None:  # the product of any vector is 0
+        return {}
+    codes = [0] * len(slices)
+    for div in shell:
+        digits = map(mod, map(floordiv, slices, repeat(div)), repeat(q))
+        codes = list(map(add, map(mul, codes, repeat(q)), digits))
+    # W: (n-1) * b bits, rounded up to whole 64-bit words
+    width = -(-(n - 1) * len(slices).bit_length() // 64) * 64
+    vec = [1] * len(slices)
+    for k in range(n - 1):
+        shifts = map(mul, codes, repeat(block ** k * width))
+        vec = _apply_plan(plan, list(map(lshift, vec, shifts)))
+    # prefix[f]: the key prefix g of field f; step j appends slice j's code
+    # c, at f + c * Q^j and g * Q + c
+    prefix = [0]
     for _ in range(n - 1):
-        parts: dict[int, dict[int, int]] = {}
-        for prefix, dist in groups.items():
-            for s, c in dist.items():
-                key = prefix
-                for div in shell:
-                    key = key * q + s // div % q
-                part = parts.get(key)
-                if part is None:
-                    parts[key] = part = {}
-                part[s] = c
-        groups = {}
-        total = 0
-        for key, part in parts.items():
-            groups[key] = _advance(model, n, part, forward, phases, state_budget)
-            total += len(groups[key])
-            if total > state_budget:
-                raise BudgetExceededError(
-                    f"more than {state_budget} boundary-state keys at side {n}"
-                )
-    return {
-        (prefix, s): c for prefix, dist in groups.items() for s, c in dist.items()
-    }
+        shifted = list(map(mul, prefix, repeat(block)))
+        prefix = list(chain.from_iterable(
+            map(add, shifted, repeat(c)) for c in range(block)
+        ))
+    return _unpack(vec, slices, prefix, width)
+
+
+def _unpack(vec: list[int], slices: list[int], prefix: list[int], width: int):
+    """The nonzero ``width``-bit fields of each entry, keyed (prefix, slice).
+
+    Each entry becomes a list of 64-bit words at C level, and a field of
+    several words is joined from its words; field f gets key prefix[f].
+    """
+    words = width // 64
+    size = len(prefix) * width // 8
+    out = {}
+    for s, v in zip(slices, vec):
+        if not v:
+            continue
+        raw = memoryview(v.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+        if sys.byteorder == "big":
+            raw.reverse()
+        vals = raw[::words]
+        for j in range(1, words):
+            vals = list(map(add, vals, map(lshift, raw[j::words], repeat(64 * j))))
+        out.update(zip(zip(compress(prefix, vals), repeat(s)), compress(vals, vals)))
+    return out
 
 
 def count_patterns(

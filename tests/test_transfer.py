@@ -19,7 +19,6 @@ from sftbounds.models import drop_last_axis
 from sftbounds.patterns import decode, surface_indices
 from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
-    _advance,
     _apply_plan,
     _phase_checks,
     _plan_product,
@@ -34,6 +33,7 @@ from conftest import (
     reversal_closed_model,
     single_symbol_forced,
 )
+from dict_walk import advance, phase_checks, slices_by_walk, state_counts_by_groups
 
 DEFAULT_EDGE_BUDGET = 2_000_000
 
@@ -110,10 +110,10 @@ def walk_count(model, n):
 def full_walk_count(model, n):
     """The full (n-1)-step factored walk, with no half-walk split."""
     masks = model.allowed_masks[model.dimension - 1]
-    phases = _phase_checks(model, n)
+    phases = phase_checks(model, n)
     dist = slice_vector(model, n)
     for _ in range(n - 1):
-        dist = _advance(model, n, dist, masks, phases, DEFAULT_STATE_BUDGET)
+        dist = advance(model, n, dist, masks, phases)
     return sum(dist.values())
 
 
@@ -160,39 +160,77 @@ def test_slice_space_matches_enumerated_slices(hard_square2, hard_square3, color
         assert slice_vector(model, n) == expected
 
 
-def test_slice_budget_refused_before_any_product(
-    monkeypatch, hard_square2, hard_square3
-):
+def spy_on_plans(monkeypatch):
+    """Record the dimension of every plan made, and of every plan applied."""
     import sftbounds.transfer as transfer_mod
 
-    real = transfer_mod._advance
-    dims = []
-
-    def spy(model, *args):
-        dims.append(model.dimension)
-        return real(model, *args)
-
-    real_plan = transfer_mod._plan_product
-    planned = []
+    real_plan, real_apply = transfer_mod._plan_product, transfer_mod._apply_plan
+    planned, applied, dims = [], [], {}
 
     def plan_spy(model, *args):
         planned.append(model.dimension)
-        return real_plan(model, *args)
+        plan = real_plan(model, *args)
+        dims[id(plan)] = model.dimension
+        return plan
 
-    monkeypatch.setattr(transfer_mod, "_advance", spy)
+    def apply_spy(plan, vec):
+        applied.append(dims[id(plan)])
+        return real_apply(plan, vec)
+
     monkeypatch.setattr(transfer_mod, "_plan_product", plan_spy)
+    monkeypatch.setattr(transfer_mod, "_apply_plan", apply_spy)
+    return planned, applied
+
+
+def test_slice_budget_refused_before_any_product(
+    monkeypatch, hard_square2, hard_square3
+):
+    planned, applied = spy_on_plans(monkeypatch)
     # F(8) = 21 slices at side 6 in d = 2; C_3 = 63 slices at side 3 in d = 3
     with pytest.raises(BudgetExceededError, match="more than 20 slices at side 6"):
         count_via_transfer(hard_square2, 6, state_budget=20)
-    # only the d = 1 sub-model count ran products, and only it planned one
-    assert dims and set(dims) == {1}
+    # only the d = 1 sub-model count planned and ran products; the top
+    # model did neither
     assert planned == [1]
-    dims.clear()
+    assert applied and set(applied) == {1}
     planned.clear()
+    applied.clear()
     with pytest.raises(BudgetExceededError, match="more than 62 slices at side 3"):
         count_via_transfer(hard_square3, 3, state_budget=62)
     # only the sub-model counts, in d = 2 and below it d = 1, ran products
-    assert set(dims) == set(planned) == {1, 2}
+    assert set(planned) == set(applied) == {1, 2}
+
+
+def test_slice_space_matches_dict_walk(hard_square2, hard_square3, coloring3_d2):
+    # the prefix recursion against the first product of the dict walk, from
+    # an all-zeros previous slice: the same keys, and the same refusals
+    every_pair = frozenset(itertools.product((0, 1), repeat=2))
+    small = range(1, 40, 3)
+    cases = (
+        [(hard_square2, n, small) for n in range(1, 9)]
+        + [(hard_square3, n, range(1, 80, 3)) for n in range(1, 4)]
+        + [(coloring3_d2, n, range(1, 100, 4)) for n in range(1, 6)]
+        + [(model, n, small) for model in closed_models(2) for n in range(1, 5)]
+        + [(model, n, small) for model in one_dimensional_models() for n in (1, 2, 5)]
+        + [(forbid_axis_model(d), n, small) for d in (2, 3) for n in range(1, 4)]
+        + [(forbid_last_axis_model(), n, small) for n in range(1, 5)]
+        + [(SftModel(2, Alphabet(("0", "1")), (every_pair,) * 2), 3, small)]
+        + [(builtin_model("coloring", 2, 17), 2, range(1, 300, 20))]
+    )
+    seen = set()
+    for model, n, budgets in cases:
+        phases = _phase_checks(model, n)
+        assert build_slice_space(model, n, phases) == slices_by_walk(model, n)
+        for budget in budgets:
+            got = outcome(build_slice_space, model, n, phases, budget)
+            assert got == outcome(slices_by_walk, model, n, budget), (model, n, budget)
+            if isinstance(got, str):
+                # "more than {budget} {what} at side {n}" -> what
+                seen.add(got.split(" ", 3)[3].split(" at side")[0])
+            else:
+                seen.add(dict)
+    # the sub-model preflight and a phase's prefixes both refuse somewhere
+    assert seen == {"slices", "live transfer states", dict}
 
 
 def test_transitions_hard_square_n2(hard_square2):
@@ -384,18 +422,19 @@ class PlannedProduct:
 
 
 def assert_planned_matches_advance(model, n, exact_padding=False):
-    """Key by key against ``_advance``: the first product, the one after it
-    (on the support it reached), and a product of weights past 64 bits on
-    a random part of the slices.  Each phase's padded matrix covers the
-    live keys of that phase of ``_advance``, exactly if ``exact_padding``."""
+    """Key by key against the dict walk's ``advance``: the first product,
+    the one after it (on the support it reached), and a product of weights
+    past 64 bits on a random part of the slices.  Each phase's padded
+    matrix covers the live keys of that phase of ``advance``, exactly if
+    ``exact_padding``."""
     masks = model.allowed_masks[model.dimension - 1]
-    phases = _phase_checks(model, n)
+    phases = phase_checks(model, n)
     planned = PlannedProduct(model, n)
     ones = slice_vector(model, n)
     dist = ones
     live = []
     for checks in phases:
-        dist = _advance(model, n, dist, masks, [checks], DEFAULT_STATE_BUDGET)
+        dist = advance(model, n, dist, masks, [checks])
         live.append(len(dist))
     if planned.plan is None:
         assert live[-1] == 0
@@ -408,7 +447,7 @@ def assert_planned_matches_advance(model, n, exact_padding=False):
     mixed = {k: rng.randrange(1, 2 ** 70) for k in ones if rng.random() < 0.6}
     for dist in (ones, mixed):
         for _ in range(2):
-            expected = _advance(model, n, dist, masks, phases, DEFAULT_STATE_BUDGET)
+            expected = advance(model, n, dist, masks, phases)
             assert planned(dist) == expected, (model, n)
             dist = expected
 
@@ -460,13 +499,13 @@ def test_planned_product_matches_advance_random_d3(case):
 
 
 def dict_half_walk(model, n, state_budget):
-    """The half walk on ``_advance`` alone: the reference for budgets."""
+    """The half walk on the dict walk alone: the reference for budgets."""
     masks = model.allowed_masks[model.dimension - 1]
-    phases = _phase_checks(model, n)
-    v = build_slice_space(model, n, phases, state_budget)
+    phases = phase_checks(model, n)
+    v = slices_by_walk(model, n, state_budget)
     for _ in range((n - 1) // 2):
-        v = _advance(model, n, v, masks, phases, state_budget)
-    u = _advance(model, n, v, masks, phases, state_budget) if (n - 1) % 2 else v
+        v = advance(model, n, v, masks, phases, state_budget)
+    u = advance(model, n, v, masks, phases, state_budget) if (n - 1) % 2 else v
     return sum(c * u.get(k, 0) for k, c in v.items())
 
 
@@ -640,33 +679,105 @@ def test_state_counts_need_no_enumeration(monkeypatch, hard_square2):
     assert sum(c ** 4 for c in table.values()) == 22_937_333_976_547
 
 
-def test_state_counts_refuse_at_the_part_that_crosses_the_budget(
-    monkeypatch, hard_square3
-):
-    import sftbounds.transfer as transfer_mod
-
-    real = transfer_mod._advance
-    forward = hard_square3.allowed_masks[2]
-    sizes = []
-
-    def spy(model, n, dist, last_masks, *args):
-        out = real(model, n, dist, last_masks, *args)
-        if model is hard_square3 and last_masks is forward:
-            sizes.append(len(out))
-        return out
-
-    monkeypatch.setattr(transfer_mod, "_advance", spy)
-    # the first step splits the 63 slices by their five shell digits into
-    # 13 parts, whose 506 keys cross a budget of 200 at the fifth part
+def test_state_counts_refused_before_any_product(monkeypatch, hard_square3):
+    planned, applied = spy_on_plans(monkeypatch)
+    # 63 slices at side 3, five shell cells per slice: 2^10 * 63 fields
     with pytest.raises(
         BudgetExceededError, match="more than 200 boundary-state keys at side 3"
     ):
         state_counts(hard_square3, 3, state_budget=200)
-    assert sum(sizes[:-1]) <= 200 < sum(sizes)
-    assert len(sizes) == 5
+    # only the slice count of the sub-models planned and ran products
+    assert set(planned) == set(applied) == {1, 2}
+
+
+def test_state_counts_budget_is_fields_times_slices(hard_square2, coloring3_d2):
+    # side 5: 2^4 shell prefixes times 13 slices
+    assert len(state_counts(hard_square2, 5, state_budget=16 * 13)) == 89
+    with pytest.raises(
+        BudgetExceededError, match="more than 207 boundary-state keys at side 5"
+    ):
+        state_counts(hard_square2, 5, state_budget=16 * 13 - 1)
+    # the default budget: hard-square 2^12 * 610 and coloring:3 3^7 * 384
+    # fit; 2^13 * 987 and 3^8 * 768 are refused
+    for model, n in [(hard_square2, 14), (coloring3_d2, 9)]:
+        with pytest.raises(BudgetExceededError, match=f"keys at side {n}"):
+            state_counts(model, n)
+
+
+def assert_table_matches_groups(model, n):
+    expected = state_counts_by_groups(model, n)
+    assert state_counts(model, n) == expected, (model, n)
+    return expected
+
+
+def test_state_counts_match_group_walk(hard_square2, hard_square3, coloring3_d2):
+    # hard-square n >= 10 has fields of two 64-bit words
+    cases = (
+        [(hard_square2, n) for n in range(1, 11)]
+        + [(coloring3_d2, n) for n in range(1, 7)]
+        + [(hard_square3, n) for n in range(1, 4)]
+        + [(builtin_model("coloring", 2, 17), 2)]
+        + [(model, n) for model in one_dimensional_models() for n in range(1, 7)]
+        + [(model, n) for model in closed_models(2) for n in range(1, 5)]
+    )
+    for model, n in cases:
+        assert_table_matches_groups(model, n)
+
+
+def test_state_counts_full_shift_fills_every_field():
+    # every state is realized, with the (n-1)^d interior cells free; at
+    # q = 2, d = 2, n = 9 each count is 2^64, one past the first word
+    for q, d, sides in [(2, 2, range(1, 10)), (3, 2, range(1, 4)), (2, 3, range(1, 3))]:
+        model = full_shift(q, d)
+        for n in sides:
+            table = state_counts(model, n)
+            assert set(table.values()) == {q ** ((n - 1) ** d)}
+            assert len(table) == q ** (n ** d - (n - 1) ** d)
+            if len(table) <= 5000:
+                assert table == state_counts_by_groups(model, n)
+
+
+def test_state_counts_empty_products():
+    # no product at all (forbid_last_axis_model's plan is None), and no
+    # slice of side >= 2 (forbid_axis_model)
+    for model in (forbid_last_axis_model(), forbid_axis_model(), forbid_axis_model(3)):
+        assert assert_table_matches_groups(model, 1)
+        for n in range(2, 5):
+            assert assert_table_matches_groups(model, n) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models_d2(), st.integers(1, 4))
+def test_state_counts_match_group_walk_random(model, n):
+    assert_table_matches_groups(model, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_models_d3())
+def test_state_counts_match_group_walk_random_d3(case):
+    assert_table_matches_groups(*case)
 
 
 def test_state_counts_budget(hard_square2):
     # 89 boundary states at side 5, over a budget the 13 slices fit in
     with pytest.raises(BudgetExceededError, match="boundary-state keys at side 5"):
         state_counts(hard_square2, 5, state_budget=40)
+
+
+def test_budget_error_lives_with_the_budgets():
+    import ast
+
+    import sftbounds
+    import sftbounds.enumeration as enumeration_mod
+    import sftbounds.transfer as transfer_mod
+
+    assert BudgetExceededError is sftbounds.BudgetExceededError
+    assert BudgetExceededError is transfer_mod.BudgetExceededError
+    assert BudgetExceededError is enumeration_mod.BudgetExceededError
+    assert BudgetExceededError.__module__ == "sftbounds.transfer"
+    with open(transfer_mod.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    }
+    assert "enumeration" not in imported
