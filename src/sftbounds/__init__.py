@@ -14,12 +14,8 @@ from .models import (
 from .patterns import (
     CubePattern,
     SurfaceState,
-    compose_flips,
-    flip,
     format_pattern,
     is_locally_admissible,
-    parse_pattern,
-    restrict,
     surface_state,
 )
 from .transfer import (
@@ -30,10 +26,8 @@ from .transfer import (
 from .gluing import (
     GlueError,
     GlueInput,
-    extend_to_plus_one,
     glue,
     glue_single,
-    opposite_faces_equal,
     periodic_core,
     tiling_witness,
     verify_key_inequality,
@@ -43,7 +37,6 @@ from .bounds import (
     ConvergenceReport,
     build_report,
     entropy_bounds,
-    leading_gap_coefficient,
     q_poly,
     report_to_csv,
     report_to_json_dict,

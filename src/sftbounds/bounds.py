@@ -63,13 +63,6 @@ def verify_qd_recurrence(d: int, n: int) -> bool:
     return lhs + (2 ** d - 1) * ((n + 1) ** d - n ** d) * lcm == 2 ** d * rhs
 
 
-def leading_gap_coefficient(d: int) -> Fraction:
-    """d * (2 - 2^(1-d)): the degree-(d-1) coefficient of q_d."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    return d * (2 - Fraction(2, 2 ** d))
-
-
 def log_count(c: int) -> float:
     """Natural log of an exact count; -inf for zero."""
     if c < 0:

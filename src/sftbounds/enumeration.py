@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .models import SftModel
-from .patterns import CubePattern, SurfaceState, surface_indices
+from .patterns import CubePattern, SurfaceState, decode, surface_indices
 from .transfer import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -30,13 +30,10 @@ def _cell_checks(model: SftModel, n: int):
     masks = model.allowed_masks
     checks: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
     for idx in range(n ** d):
-        cs = []
-        rem = idx
-        for k in range(d - 1, -1, -1):
-            rem, x = divmod(rem, n)
-            if x > 0:
-                cs.append((n ** (d - 1 - k), masks[k]))
-        checks.append(tuple(cs))
+        x = decode(idx, n, d)
+        checks.append(tuple(
+            (n ** (d - 1 - k), masks[k]) for k in range(d - 1, -1, -1) if x[k] > 0
+        ))
     return checks
 
 

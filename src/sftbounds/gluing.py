@@ -9,8 +9,8 @@ inside some block, so the union is admissible for a symmetric model.
 
 Gluing a single pattern with itself in all 2^d slots yields opposite-face
 coincidence, which gives the periodic core (a side-(2n-2) pattern that
-tiles space) and the side-(n+1) extension proving the counts are
-nondecreasing from side 2 on.
+tiles space).  Every placement and face below is one
+``patterns.cube_index`` list.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from .models import SftModel
 from .patterns import (
     CubePattern,
-    compose_flips,
+    cube_index,
     is_locally_admissible,
     restrict,
-    strides,
     surface_state,
 )
 from .transfer import state_counts
@@ -80,19 +79,13 @@ def glue(inp: GlueInput) -> CubePattern:
 
     side = 2 * n - 1
     out: list[int] = [-1] * side ** d
-    local_strides = strides(n, d)
-    global_strides = strides(side, d)
-    for t in range(1 << d):
-        block = compose_flips(pats[t], t)
-        shift = sum(
-            (n - 1) * global_strides[k] for k in range(d) if t & (1 << k)
-        )
-        for i, v in enumerate(block.values):
-            gi = shift
-            rem = i
-            for k in range(d):
-                x, rem = divmod(rem, local_strides[k])
-                gi += x * global_strides[k]
+    for t, p in enumerate(pats):
+        # cell y of block t sits at 2n-2-y_k on each axis k that t flips
+        axes = [
+            range(2 * n - 2, n - 2, -1) if t >> k & 1 else range(n)
+            for k in range(d)
+        ]
+        for gi, v in zip(cube_index(side, axes), p.values):
             if out[gi] < 0:
                 out[gi] = v
             elif out[gi] != v:
@@ -107,20 +100,18 @@ def glue_single(model: SftModel, p: CubePattern) -> CubePattern:
     return glue(GlueInput(model, (p,) * (1 << model.dimension)))
 
 
+def _face(p: CubePattern, k: int, x: int) -> tuple[int, ...]:
+    """Values on the hyperplane x_k = x (internal axis k), row-major."""
+    axes = [range(p.n)] * p.d
+    axes[k] = (x,)
+    return tuple(map(p.values.__getitem__, cube_index(p.n, axes)))
+
+
 def opposite_faces_equal(p: CubePattern, axis: int) -> bool:
     """Whether the first and last hyperplane along an axis coincide."""
     if not 1 <= axis <= p.d:
         raise ValueError(f"axis {axis} out of range 1..{p.d}")
-    n = p.n
-    step = n ** (p.d - axis)
-    period = step * n
-    vals = p.values
-    far = (n - 1) * step
-    for base in range(0, len(vals), period):
-        for i in range(base, base + step):
-            if vals[i] != vals[i + far]:
-                return False
-    return True
+    return _face(p, axis - 1, 0) == _face(p, axis - 1, p.n - 1)
 
 
 def periodic_core(model: SftModel, glued: CubePattern) -> CubePattern:
@@ -135,23 +126,17 @@ def periodic_core(model: SftModel, glued: CubePattern) -> CubePattern:
     if side < 3 or side % 2 == 0:
         raise GlueError(f"periodic core needs an odd glued side >= 3, got {side}")
     core = restrict(glued, side - 1)
-    d, m, vals = core.d, core.n, core.values
-    for k in range(d):
+    for k, allowed_k in enumerate(model.allowed):
         if not opposite_faces_equal(glued, k + 1):
             raise GlueError(
                 f"glued pattern faces differ along axis {k + 1}; "
                 "was it built from a single pattern?"
             )
-        allowed_k = model.allowed[k]
-        step = m ** (d - 1 - k)
-        period = step * m
-        far = (m - 1) * step
-        for base in range(0, len(vals), period):
-            for i in range(base, base + step):
-                if not allowed_k[vals[i + far]][vals[i]]:
-                    raise GlueError(
-                        f"periodic core is not wrap-admissible along axis {k + 1}"
-                    )
+        far, near = _face(core, k, core.n - 1), _face(core, k, 0)
+        if not all(allowed_k[a][b] for a, b in zip(far, near)):
+            raise GlueError(
+                f"periodic core is not wrap-admissible along axis {k + 1}"
+            )
     return core
 
 
@@ -162,24 +147,9 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
     periodically across every seam.
     """
     m = core.n
-    # core index of each witness cell, row-major, built one axis at a time
-    index = [0]
-    for _ in range(core.d):
-        index = [i * m + x % m for i in index for x in range(2 * m)]
+    wrap = [x % m for x in range(2 * m)]
+    index = cube_index(m, [wrap] * core.d)
     return CubePattern(2 * m, core.d, tuple(map(core.values.__getitem__, index)))
-
-
-def extend_to_plus_one(model: SftModel, p: CubePattern) -> CubePattern:
-    """Admissible side-(n+1) extension with the original in its corner.
-
-    Restriction to side n recovers p, so the map is injective and the
-    side-n count never exceeds the side-(n+1) count for n >= 2.
-    """
-    if p.n < 2:
-        raise GlueError(f"extension needs side >= 2, got {p.n}")
-    if not is_locally_admissible(model, p):
-        raise GlueError("cannot extend an inadmissible pattern")
-    return restrict(glue_single(model, p), p.n + 1)
 
 
 def verify_key_inequality(

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-
-MASK_TABLE_LIMIT = 16  # alphabets up to this size get a mask -> values table
+from functools import cached_property
 
 
 class ModelFormatError(ValueError):
@@ -125,19 +123,9 @@ class SftModel:
         return (1 << self.num_symbols) - 1
 
     @cached_property
-    def values_for_mask(self) -> tuple[tuple[int, ...], ...] | _MaskValues:
-        """Mask -> ascending symbol ids: a full table for small alphabets,
-        filled on first lookup for larger ones."""
-        if self.num_symbols > MASK_TABLE_LIMIT:
-            return _MaskValues()
-        return _mask_value_table(self.num_symbols)
-
-
-@lru_cache(maxsize=None)
-def _mask_value_table(q: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(v for v in range(q) if m & (1 << v)) for m in range(1 << q)
-    )
+    def values_for_mask(self) -> _MaskValues:
+        """Mask -> ascending symbol ids, filled on first lookup."""
+        return _MaskValues()
 
 
 class _MaskValues(dict):

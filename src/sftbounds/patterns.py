@@ -1,9 +1,10 @@
-"""Cube patterns, local admissibility, axis flips, and boundary states.
+"""Cube patterns, local admissibility, sub-cubes, and boundary states.
 
 A pattern assigns a symbol id to every cell of the cube [0,n)^d, stored
 row-major: cell x = (x_1,...,x_d) sits at linear index sum(x_k * n^(d-k)),
 so axis 1 is the outermost (slowest) coordinate.  Coordinates are 0-based
-internally; the flip along external axis k maps x_k to n-1-x_k.
+internally.  Every sub-cube, face or reflected copy the package reads or
+writes is one ``cube_index`` list of linear indices.
 
 All operations are pure and return fresh patterns.
 """
@@ -15,10 +16,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .models import Alphabet, SftModel
-
-
-def strides(n: int, d: int) -> tuple[int, ...]:
-    return tuple(n ** (d - 1 - k) for k in range(d))
 
 
 def encode(coords: Sequence[int], n: int) -> int:
@@ -35,6 +32,20 @@ def decode(index: int, n: int, d: int) -> tuple[int, ...]:
     for k in range(d - 1, -1, -1):
         index, out[k] = divmod(index, n)
     return tuple(out)
+
+
+def cube_index(n: int, axes: Sequence[Sequence[int]]) -> list[int]:
+    """Linear indices, in the side-n cube of dimension len(axes), of the
+    cells whose coordinate on axis k runs over ``axes[k]``.
+
+    Listed row-major over the given coordinates (axes[0] outermost), so a
+    gather of a pattern's values by this list is the pattern of the
+    selected cells, in the order the coordinates are given.
+    """
+    index = [0]
+    for xs in axes:
+        index = [i * n + x for i in index for x in xs]
+    return index
 
 
 @dataclass(frozen=True)
@@ -104,18 +115,13 @@ class SurfaceState:
 
 @lru_cache(maxsize=None)
 def surface_indices(n: int, d: int) -> tuple[int, ...]:
-    """Linear indices of cells with max coordinate n-1, ascending."""
-    if n == 1:
-        return tuple(range(1))
-    out = []
-    for idx in range(n ** d):
-        rem = idx
-        for _ in range(d):
-            rem, x = divmod(rem, n)
-            if x == n - 1:
-                out.append(idx)
-                break
-    return tuple(out)
+    """Linear indices of cells with some coordinate n-1, ascending.
+
+    Empty for d = 0: the one cell of a 0-cube (a slice of a 1-d cube) has
+    no coordinate.
+    """
+    inner = set(cube_index(n, [range(n - 1)] * d))
+    return tuple(i for i in range(n ** d) if i not in inner)
 
 
 def surface_state(p: CubePattern) -> SurfaceState:
@@ -141,56 +147,12 @@ def is_locally_admissible(model: SftModel, p: CubePattern) -> bool:
     return True
 
 
-def flip(p: CubePattern, axis: int) -> CubePattern:
-    """Reflect along external axis k (1-based): x_k -> n-1-x_k.
-
-    An involution; for a symmetric model it preserves admissibility.
-    """
-    if not 1 <= axis <= p.d:
-        raise ValueError(f"axis {axis} out of range 1..{p.d}")
-    n = p.n
-    step = n ** (p.d - axis)
-    out = [0] * len(p.values)
-    for i, v in enumerate(p.values):
-        xk = (i // step) % n
-        out[i + (n - 1 - 2 * xk) * step] = v
-    return CubePattern(n, p.d, tuple(out))
-
-
-def compose_flips(p: CubePattern, t: int) -> CubePattern:
-    """Apply the flips selected by the bits of t (bit k -> axis k+1).
-
-    Flips commute, so any application order gives the same result; t = 0
-    is the identity.
-    """
-    if not 0 <= t < (1 << p.d):
-        raise ValueError(f"flip selector {t} out of range 0..{(1 << p.d) - 1}")
-    out = p
-    for k in range(p.d):
-        if t & (1 << k):
-            out = flip(out, k + 1)
-    return out
-
-
 def restrict(p: CubePattern, m: int) -> CubePattern:
     """Sub-pattern on [0,m)^d; admissibility is inherited."""
     if not 1 <= m <= p.n:
         raise ValueError(f"restriction side {m} out of range 1..{p.n}")
-    if m == p.n:
-        return p
-    n, d, vals = p.n, p.d, p.values
-    out = []
-
-    def walk(base, depth):
-        if depth == d - 1:
-            out.extend(vals[base : base + m])
-            return
-        step = n ** (d - 1 - depth)
-        for x in range(m):
-            walk(base + x * step, depth + 1)
-
-    walk(0, 0)
-    return CubePattern(m, d, tuple(out))
+    index = cube_index(p.n, [range(m)] * p.d)
+    return CubePattern(m, p.d, tuple(map(p.values.__getitem__, index)))
 
 
 def format_pattern(p: CubePattern, alphabet: Alphabet) -> str:
@@ -203,14 +165,3 @@ def format_pattern(p: CubePattern, alphabet: Alphabet) -> str:
     for base in range(0, len(p.values), p.n):
         lines.append(" ".join(syms[v] for v in p.values[base : base + p.n]))
     return "\n".join(lines)
-
-
-def parse_pattern(text: str, alphabet: Alphabet) -> CubePattern:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("pattern text needs a 'd n' header")
-    d, n = int(tokens[0]), int(tokens[1])
-    names = tokens[2:]
-    if len(names) != n ** d:
-        raise ValueError(f"expected {n ** d} cells, got {len(names)}")
-    return CubePattern(n, d, tuple(alphabet.id_of(s) for s in names))

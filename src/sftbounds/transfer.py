@@ -58,7 +58,7 @@ from itertools import chain, compress, repeat
 from operator import add, and_, floordiv, lshift, mod, mul
 
 from .models import SftModel, drop_last_axis
-from .patterns import decode
+from .patterns import decode, surface_indices
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
@@ -402,7 +402,7 @@ def state_counts(
     d = model.dimension
     q = model.num_symbols
     # q^p for each slice cell p on the shell, ascending
-    shell = [q ** p for p in range(n ** (d - 1)) if n - 1 in decode(p, n, d - 1)]
+    shell = [q ** p for p in surface_indices(n, d - 1)]
     block = q ** len(shell)
     slices, plan = _planned_side(model, n, state_budget, block ** (n - 1))
     if n == 1:

@@ -16,24 +16,23 @@ from sftbounds import (
     build_report,
     count_patterns,
     count_via_transfer,
-    extend_to_plus_one,
     glue_single,
     is_locally_admissible,
-    leading_gap_coefficient,
-    opposite_faces_equal,
     periodic_core,
     q_poly,
     report_to_json_dict,
-    restrict,
     tiling_witness,
     verify_doubling_monotonicity,
     verify_power_mean_bound,
     verify_qd_recurrence,
 )
 from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
+from sftbounds.gluing import opposite_faces_equal
+from sftbounds.patterns import restrict
 
 from conftest import forbid_axis_model, full_shift, single_symbol_forced
 from oracle import oracle_count_naive
+from paper_defs import extend_to_plus_one, leading_gap_coefficient
 
 ORACLE_LIMIT = 1 << 24
 NEG_INF = float("-inf")

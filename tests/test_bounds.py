@@ -9,7 +9,6 @@ from sftbounds import (
     build_report,
     count_patterns,
     entropy_bounds,
-    leading_gap_coefficient,
     q_poly,
     report_to_csv,
     report_to_json_dict,
@@ -20,6 +19,7 @@ from sftbounds import (
 from sftbounds.bounds import log_count
 
 from conftest import forbid_axis_model, full_shift, single_symbol_forced
+from paper_defs import leading_gap_coefficient
 
 NEG_INF = float("-inf")
 

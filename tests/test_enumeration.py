@@ -174,14 +174,15 @@ def test_determinism(hard_square2):
 
 
 def test_large_alphabet_uses_mask_fallback():
-    # 17 symbols is past the mask-table limit; the bit-iteration path
-    # must give the same counts
-    model = builtin_model("coloring", 2, 17)
-    vfm = model.values_for_mask
-    for m in (0, 1, 0b1010, 1 << 16, model.full_mask, 0b10000000000000101):
-        assert vfm[m] == tuple(v for v in range(17) if m >> v & 1)
-    p = sample_admissible(model, 3, random.Random(0))
-    assert p.n == 3 and is_locally_admissible(model, p)
-    assert count_patterns_dfs(model, 1) == 17
-    # proper 17-colorings of the 4-cycle: (q-1)^4 + (q-1)
-    assert count_patterns_dfs(model, 2) == 16 ** 4 + 16
+    # one lazily filled mask -> values map serves every alphabet size
+    for q in (2, 3, 17):
+        model = builtin_model("coloring", 2, q)
+        vfm = model.values_for_mask
+        for m in (0, 1, 0b1010, 1 << 16, model.full_mask, 0b10000000000000101):
+            m &= model.full_mask
+            assert vfm[m] == tuple(v for v in range(q) if m >> v & 1)
+        p = sample_admissible(model, 3, random.Random(0))
+        assert p.n == 3 and is_locally_admissible(model, p)
+        assert count_patterns_dfs(model, 1) == q
+        # proper q-colorings of the 4-cycle: (q-1)^4 + (q-1)
+        assert count_patterns_dfs(model, 2) == (q - 1) ** 4 + (q - 1)

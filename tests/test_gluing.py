@@ -10,21 +10,22 @@ from sftbounds import (
     GlueInput,
     builtin_model,
     count_patterns,
-    extend_to_plus_one,
     glue,
     glue_single,
     is_locally_admissible,
-    opposite_faces_equal,
     periodic_core,
-    restrict,
     sample_same_state_group,
     surface_state,
     tiling_witness,
     verify_key_inequality,
 )
+import sftbounds.gluing as gluing
 from sftbounds.enumeration import count_patterns_dfs, enumerate_patterns
+from sftbounds.gluing import opposite_faces_equal
+from sftbounds.patterns import restrict, surface_indices
 
 from conftest import forbid_axis_model, full_shift
+from paper_defs import compose_flips, extend_to_plus_one
 
 
 def naive_concat(patterns, n, d):
@@ -82,6 +83,38 @@ def test_glue_block_layout():
     assert glued.value_at((0, 1)) == 1
     assert glued.value_at((2, 1)) == 1
     assert glued.value_at((1, 1)) == 3
+
+
+def glue_by_flips(patterns, n, d):
+    """The union of the flipped blocks, cell by cell: block t is
+    ``compose_flips(p_t, t)`` shifted by n-1 along every axis t flips."""
+    out = {}
+    for t, p in enumerate(patterns):
+        block = compose_flips(p, t)
+        for y in itertools.product(range(n), repeat=d):
+            x = tuple(y[k] + (n - 1) * (t >> k & 1) for k in range(d))
+            assert out.setdefault(x, block.value_at(y)) == block.value_at(y)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_glue_matches_compose_flips_layout(d, n, rng):
+    # distinct interiors around one shared shell, on a model that admits all
+    model = full_shift(5, d)
+    shell = set(surface_indices(n, d))
+    state = {i: rng.randrange(5) for i in shell}
+    patterns = tuple(
+        CubePattern(n, d, tuple(
+            state[i] if i in shell else rng.randrange(5) for i in range(n ** d)
+        ))
+        for _ in range(1 << d)
+    )
+    glued = glue(GlueInput(model, patterns))
+    expected = glue_by_flips(patterns, n, d)
+    assert len(expected) == glued.n ** d == (2 * n - 1) ** d
+    for x, v in expected.items():
+        assert glued.value_at(x) == v
 
 
 def test_glue_rejects_bad_inputs(hard_square2):
@@ -184,6 +217,27 @@ def test_tiling_witness_matches_value_at(hard_square2, hard_square3):
 def test_periodic_core_needs_odd_side(hard_square2):
     with pytest.raises(GlueError):
         periodic_core(hard_square2, CubePattern(4, 2, (0,) * 16))
+
+
+def test_periodic_core_rejects_unequal_faces(hard_square1):
+    with pytest.raises(GlueError, match="faces differ along axis 1"):
+        periodic_core(hard_square1, CubePattern(3, 1, (0, 0, 1)))
+
+
+def test_periodic_core_rejects_wrap_violation(hard_square1):
+    # equal end cells, but 1 next to 1 across the wrap
+    with pytest.raises(GlueError, match="not wrap-admissible along axis 1"):
+        periodic_core(hard_square1, CubePattern(3, 1, (1, 1, 1)))
+
+
+def test_glue_asserts_overlap_agreement(monkeypatch, hard_square2):
+    # a state check that lets everything through: the cell-by-cell overlap
+    # assertion is what catches two blocks with different shells
+    monkeypatch.setattr(gluing, "surface_state", lambda p: None)
+    zero = CubePattern(2, 2, (0, 0, 0, 0))
+    other_shell = CubePattern(2, 2, (0, 0, 0, 1))
+    with pytest.raises(GlueError, match="blocks disagree on shared cell"):
+        glue(GlueInput(hard_square2, (zero, zero, zero, other_shell)))
 
 
 def test_extend_examples(hard_square2):

@@ -4,17 +4,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sftbounds import (
+    Alphabet,
     CubePattern,
     builtin_model,
-    compose_flips,
-    flip,
     format_pattern,
     is_locally_admissible,
-    parse_pattern,
-    restrict,
     surface_state,
 )
-from sftbounds.patterns import decode, encode, surface_indices
+from sftbounds.patterns import decode, encode, restrict, surface_indices
+
+from paper_defs import compose_flips, flip
+
+
+def parse_pattern(text: str, alphabet: Alphabet) -> CubePattern:
+    """Inverse of ``format_pattern``."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ValueError("pattern text needs a 'd n' header")
+    d, n = int(tokens[0]), int(tokens[1])
+    names = tokens[2:]
+    if len(names) != n ** d:
+        raise ValueError(f"expected {n ** d} cells, got {len(names)}")
+    return CubePattern(n, d, tuple(alphabet.id_of(s) for s in names))
 
 
 def all_admissible(model, n):
@@ -176,6 +187,8 @@ def test_surface_cell_counts():
     assert len(surface_indices(4, 2)) == 4 ** 2 - 3 ** 2
     assert len(surface_indices(5, 2)) == 2 * 4 + 1
     assert len(surface_indices(3, 3)) == 27 - 8
+    # the slice shell of a 1-d cube: its one cell has no coordinate
+    assert surface_indices(3, 0) == ()
 
 
 @given(patterns())
@@ -195,6 +208,9 @@ def test_restrict_identity_and_values():
     assert restrict(p, 3) == p
     sub = restrict(p, 2)
     assert sub.values == (0, 1, 3, 4)
+    cube = CubePattern(3, 3, tuple(range(27)))
+    assert restrict(cube, 2).values == (0, 1, 3, 4, 9, 10, 12, 13)
+    assert restrict(cube, 1).values == (0,)
     with pytest.raises(ValueError):
         restrict(p, 0)
     with pytest.raises(ValueError):
