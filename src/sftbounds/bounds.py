@@ -25,10 +25,9 @@ increase along the doubling chain n, 2n, 4n, ...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .models import SftModel, model_to_doc
+from .models import SftModel, _Value, model_to_doc
 from .transfer import BudgetExceededError, count_patterns
 from .gluing import verify_key_inequality
 
@@ -72,31 +71,37 @@ def log_count(c: int) -> float:
     return math.log(c)
 
 
-@dataclass
-class RowChecks:
-    key_inequality: bool | None = None
-    power_mean: bool | None = None
-    doubling: bool | None = None
+class RowChecks(_Value):
+    """Per-row check results; None where the counts did not allow a check."""
+
+    _fields = ("key_inequality", "power_mean", "doubling")
+
+    def __init__(self, key_inequality=None, power_mean=None, doubling=None):
+        self.key_inequality, self.power_mean = key_inequality, power_mean
+        self.doubling = doubling
 
 
-@dataclass
-class BoundsRow:
+class BoundsRow(_Value):
     """One bracket row; upper/lower are None when a count was unavailable."""
 
-    n: int
-    c_n: int | None
-    c_n_plus_1: int | None
-    q_value: Fraction
-    upper: float | None
-    lower: float | None
-    gap_bound: float
-    checks: RowChecks = field(default_factory=RowChecks)
+    _fields = ("n", "c_n", "c_n_plus_1", "q_value", "upper", "lower", "gap_bound",
+               "checks")
+
+    def __init__(
+        self, n: int, c_n: int | None, c_n_plus_1: int | None, q_value: Fraction,
+        upper: float | None, lower: float | None, gap_bound: float,
+        checks: RowChecks | None = None,
+    ):
+        self.n, self.c_n, self.c_n_plus_1, self.q_value = n, c_n, c_n_plus_1, q_value
+        self.upper, self.lower, self.gap_bound = upper, lower, gap_bound
+        self.checks = RowChecks() if checks is None else checks
 
 
-@dataclass
-class ConvergenceReport:
-    model: SftModel
-    rows: list[BoundsRow]
+class ConvergenceReport(_Value):
+    _fields = ("model", "rows")
+
+    def __init__(self, model: SftModel, rows: list[BoundsRow]):
+        self.model, self.rows = model, rows
 
 
 def entropy_bounds(

@@ -39,6 +39,7 @@ from .bounds import (
     verify_power_mean_bound,
     verify_qd_recurrence,
 )
+from .enumeration import _cell_checks
 from .sampling import SamplingError, sample_same_state_group
 
 EXIT_OK = 0
@@ -220,12 +221,13 @@ def cmd_verify(model: SftModel, args) -> int:
     results.append(("correction-polynomial recurrence sweep (d<=6, n<=64)", sweep_ok))
 
     rng = random.Random(args.seed)
+    checks = _cell_checks(model, n)
     sample_ok = True
     checked = failures = 0
     # with C_n = 0 there is no side-n pattern to draw
     for _ in range(args.samples if c_n else 0):
         try:
-            group = sample_same_state_group(model, n, 1 << d, rng)
+            group = sample_same_state_group(model, n, 1 << d, rng, checks)
         except SamplingError:
             failures += 1
             if failures > 10:

@@ -15,7 +15,7 @@ package's one budget error, ``transfer.BudgetExceededError``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .models import SftModel
 from .patterns import CubePattern, SurfaceState, decode, surface_indices

@@ -15,9 +15,7 @@ tiles space).  Every placement and face below is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .models import SftModel
+from .models import SftModel, _Value
 from .patterns import (
     CubePattern,
     cube_index,
@@ -32,28 +30,27 @@ class GlueError(ValueError):
     """Invalid gluing input or a violated construction guarantee."""
 
 
-@dataclass(frozen=True)
-class GlueInput:
+class GlueInput(_Value, frozen=True):
     """Exactly 2^d equal-size patterns, indexed by the flip selector t."""
 
-    model: SftModel
-    patterns: tuple[CubePattern, ...]
+    _fields = ("model", "patterns")
 
-    def __post_init__(self):
-        d = self.model.dimension
-        if len(self.patterns) != (1 << d):
+    def __init__(self, model: SftModel, patterns: tuple[CubePattern, ...]):
+        d = model.dimension
+        if len(patterns) != (1 << d):
             raise GlueError(
                 f"need exactly {1 << d} patterns in dimension {d}, "
-                f"got {len(self.patterns)}"
+                f"got {len(patterns)}"
             )
-        first = self.patterns[0]
-        for p in self.patterns:
+        first = patterns[0]
+        for p in patterns:
             if (p.n, p.d) != (first.n, first.d):
                 raise GlueError("all patterns must share one side length")
             if p.d != d:
                 raise GlueError(
                     f"pattern dimension {p.d} does not match model dimension {d}"
                 )
+        self.__dict__.update(model=model, patterns=patterns)
 
     @property
     def n(self) -> int:
@@ -81,10 +78,10 @@ def glue(inp: GlueInput) -> CubePattern:
     out: list[int] = [-1] * side ** d
     for t, p in enumerate(pats):
         # cell y of block t sits at 2n-2-y_k on each axis k that t flips
-        axes = [
+        axes = tuple(
             range(2 * n - 2, n - 2, -1) if t >> k & 1 else range(n)
             for k in range(d)
-        ]
+        )
         for gi, v in zip(cube_index(side, axes), p.values):
             if out[gi] < 0:
                 out[gi] = v
@@ -104,7 +101,7 @@ def _face(p: CubePattern, k: int, x: int) -> tuple[int, ...]:
     """Values on the hyperplane x_k = x (internal axis k), row-major."""
     axes = [range(p.n)] * p.d
     axes[k] = (x,)
-    return tuple(map(p.values.__getitem__, cube_index(p.n, axes)))
+    return tuple(map(p.values.__getitem__, cube_index(p.n, tuple(axes))))
 
 
 def opposite_faces_equal(p: CubePattern, axis: int) -> bool:
@@ -147,8 +144,8 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
     periodically across every seam.
     """
     m = core.n
-    wrap = [x % m for x in range(2 * m)]
-    index = cube_index(m, [wrap] * core.d)
+    wrap = tuple(x % m for x in range(2 * m))
+    index = cube_index(m, (wrap,) * core.d)
     return CubePattern(2 * m, core.d, tuple(map(core.values.__getitem__, index)))
 
 

@@ -15,25 +15,56 @@ loop works on ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
+
+
+class _Value:
+    """Base of the package's value classes: a subclass names its fields in
+    ``_fields`` and sets them in ``__init__``.  Instances of one class are
+    equal when their fields are, and repr as ``Name(field=value, ...)``.  A
+    class declared ``frozen=True`` also hashes by its fields and refuses
+    assignment, so its ``__init__`` writes the fields into ``self.__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        key = attrgetter(*cls._fields)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _Value._refuse
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _refuse(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
 class ModelFormatError(ValueError):
     """Malformed or inconsistent model document."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(_Value, frozen=True):
     """Ordered distinct symbol names; the id of a symbol is its position."""
 
-    symbols: tuple[str, ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        if len(self.symbols) < 1:
+    def __init__(self, symbols: tuple[str, ...]):
+        if len(symbols) < 1:
             raise ModelFormatError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ModelFormatError("alphabet symbols must be distinct")
+        self.__dict__.update(symbols=symbols)
 
     @property
     def size(self) -> int:
@@ -50,8 +81,7 @@ class Alphabet:
             raise ModelFormatError(f"unknown symbol {symbol!r}") from None
 
 
-@dataclass(frozen=True)
-class SftModel:
+class SftModel(_Value, frozen=True):
     """Nearest-neighbor model on Z^d with per-axis forbidden pair sets.
 
     ``forbidden[i]`` holds ordered pairs of symbol ids along internal axis i
@@ -59,27 +89,30 @@ class SftModel:
     one is closed under pair reversal.  Instances are immutable and hashable.
     """
 
-    dimension: int
-    alphabet: Alphabet
-    forbidden: tuple[frozenset[tuple[int, int]], ...]
+    _fields = ("dimension", "alphabet", "forbidden")
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ModelFormatError(f"dimension must be >= 1, got {self.dimension}")
-        if len(self.forbidden) != self.dimension:
+    def __init__(
+        self,
+        dimension: int,
+        alphabet: Alphabet,
+        forbidden: tuple[frozenset[tuple[int, int]], ...],
+    ):
+        if dimension < 1:
+            raise ModelFormatError(f"dimension must be >= 1, got {dimension}")
+        if len(forbidden) != dimension:
             raise ModelFormatError(
-                f"expected {self.dimension} forbidden sets, got {len(self.forbidden)}"
+                f"expected {dimension} forbidden sets, got {len(forbidden)}"
             )
-        q = self.alphabet.size
-        for axis, pairs in enumerate(self.forbidden):
+        q = alphabet.size
+        for axis, pairs in enumerate(forbidden):
             for pair in pairs:
                 a, b = pair
                 if not (0 <= a < q and 0 <= b < q):
                     raise ModelFormatError(
                         f"forbidden pair {pair} on axis {axis + 1} is outside the alphabet"
                     )
-        syms = self.alphabet.symbols
-        for axis, pairs in enumerate(self.forbidden):
+        syms = alphabet.symbols
+        for axis, pairs in enumerate(forbidden):
             for a, b in sorted(pairs):
                 if (b, a) not in pairs:
                     x, y = syms[a], syms[b]
@@ -88,6 +121,9 @@ class SftModel:
                         f"({x},{y}) without ({y},{x}); set \"symmetrize\": true "
                         "to request closure"
                     )
+        self.__dict__.update(
+            dimension=dimension, alphabet=alphabet, forbidden=forbidden
+        )
 
     @property
     def num_symbols(self) -> int:

@@ -11,11 +11,10 @@ All operations are pure and return fresh patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
-from .models import Alphabet, SftModel
+from .models import Alphabet, SftModel, _Value
 
 
 def encode(coords: Sequence[int], n: int) -> int:
@@ -34,36 +33,36 @@ def decode(index: int, n: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cube_index(n: int, axes: Sequence[Sequence[int]]) -> list[int]:
+@lru_cache(maxsize=256)
+def cube_index(n: int, axes: tuple[Sequence[int], ...]) -> tuple[int, ...]:
     """Linear indices, in the side-n cube of dimension len(axes), of the
     cells whose coordinate on axis k runs over ``axes[k]``.
 
     Listed row-major over the given coordinates (axes[0] outermost), so a
     gather of a pattern's values by this list is the pattern of the
-    selected cells, in the order the coordinates are given.
+    selected cells, in the order the coordinates are given.  Cached per
+    (n, axes), so ``axes`` is a tuple of ranges or tuples.
     """
     index = [0]
     for xs in axes:
         index = [i * n + x for i in index for x in xs]
-    return index
+    return tuple(index)
 
 
-@dataclass(frozen=True)
-class CubePattern:
+class CubePattern(_Value, frozen=True):
     """Immutable assignment of symbol ids to the cube [0,n)^d."""
 
-    n: int
-    d: int
-    values: tuple[int, ...]
+    _fields = ("n", "d", "values")
 
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        if len(self.values) != self.n ** self.d:
+    def __init__(self, n: int, d: int, values: tuple[int, ...]):
+        if n < 1 or d < 1:
+            raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+        if len(values) != n ** d:
             raise ValueError(
-                f"expected {self.n ** self.d} values for side {self.n} in "
-                f"dimension {self.d}, got {len(self.values)}"
+                f"expected {n ** d} values for side {n} in "
+                f"dimension {d}, got {len(values)}"
             )
+        self.__dict__.update(n=n, d=d, values=values)
 
     def value_at(self, coords: Sequence[int]) -> int:
         return self.values[encode(coords, self.n)]
@@ -90,8 +89,7 @@ class CubePattern:
         return cls(n, d, tuple(flat))
 
 
-@dataclass(frozen=True)
-class SurfaceState:
+class SurfaceState(_Value, frozen=True):
     """Values on the boundary shell [0,n)^d minus [0,n-1)^d.
 
     The shell consists of the cells with some coordinate equal to n-1
@@ -100,17 +98,16 @@ class SurfaceState:
     assignments for fixed (n, d).
     """
 
-    n: int
-    d: int
-    cells: tuple[int, ...]
+    _fields = ("n", "d", "cells")
 
-    def __post_init__(self):
-        expected = self.n ** self.d - (self.n - 1) ** self.d
-        if len(self.cells) != expected:
+    def __init__(self, n: int, d: int, cells: tuple[int, ...]):
+        expected = n ** d - (n - 1) ** d
+        if len(cells) != expected:
             raise ValueError(
-                f"surface of a side-{self.n} cube in dimension {self.d} has "
-                f"{expected} cells, got {len(self.cells)}"
+                f"surface of a side-{n} cube in dimension {d} has "
+                f"{expected} cells, got {len(cells)}"
             )
+        self.__dict__.update(n=n, d=d, cells=cells)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +117,7 @@ def surface_indices(n: int, d: int) -> tuple[int, ...]:
     Empty for d = 0: the one cell of a 0-cube (a slice of a 1-d cube) has
     no coordinate.
     """
-    inner = set(cube_index(n, [range(n - 1)] * d))
+    inner = set(cube_index(n, (range(n - 1),) * d))
     return tuple(i for i in range(n ** d) if i not in inner)
 
 
@@ -151,7 +148,7 @@ def restrict(p: CubePattern, m: int) -> CubePattern:
     """Sub-pattern on [0,m)^d; admissibility is inherited."""
     if not 1 <= m <= p.n:
         raise ValueError(f"restriction side {m} out of range 1..{p.n}")
-    index = cube_index(p.n, [range(m)] * p.d)
+    index = cube_index(p.n, (range(m),) * p.d)
     return CubePattern(m, p.d, tuple(map(p.values.__getitem__, index)))
 
 

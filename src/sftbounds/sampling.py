@@ -103,7 +103,7 @@ def sample_with_state(
 
 
 def sample_same_state_group(
-    model: SftModel, n: int, count: int, rng: random.Random
+    model: SftModel, n: int, count: int, rng: random.Random, checks: list | None = None
 ) -> list[CubePattern]:
     """``count`` admissible patterns sharing one boundary state.
 
@@ -115,11 +115,13 @@ def sample_same_state_group(
     exists, so a completion never costs more steps than that enumeration.
     A model with no side-n pattern raises ``SamplingError``, and every
     admissible pattern can be the anchor, so every realized state can be
-    drawn.  Draws are not uniform within a group.
+    drawn.  Draws are not uniform within a group.  ``checks`` is
+    ``_cell_checks(model, n)``, computed here when not given.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    checks = _cell_checks(model, n)
+    if checks is None:
+        checks = _cell_checks(model, n)
     anchor_pattern = sample_admissible(model, n, rng, checks)
     anchor = surface_state(anchor_pattern)
     out = [anchor_pattern]

@@ -1,11 +1,18 @@
-"""The package's public names are the ones it uses itself."""
+"""The package's public names are the ones it uses itself, and importing
+the CLI stays cheap."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import sftbounds
 
 PACKAGE = pathlib.Path(sftbounds.__file__).parent
+
+# ``dataclasses`` and the modules it pulls in; none is needed to run the CLI.
+SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def test_every_export_is_used_in_the_package():
@@ -27,3 +34,36 @@ def test_every_export_is_used_in_the_package():
                 used.add(node.attr)
     assert exported
     assert sorted(exported - used) == []
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sftbounds.cli\n"
+        f"print(sorted(set(sys.modules) - before & set({SLOW_STDLIB!r})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] in ("dataclasses", "typing")
+            ]
+    assert found == []
