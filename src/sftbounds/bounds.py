@@ -50,6 +50,11 @@ def q_poly(d: int, n: int) -> Fraction:
     return Fraction(*_q_scaled(d, n))
 
 
+def _power_mean_exponent(d: int, n: int) -> int:
+    """(2^d - 1)((n+1)^d - n^d): the power of S in the power-mean bound."""
+    return (2 ** d - 1) * ((n + 1) ** d - n ** d)
+
+
 def verify_qd_recurrence(d: int, n: int) -> bool:
     """Exact check of q_d(2n) + (2^d-1)((n+1)^d - n^d) = 2^d q_d(n).
 
@@ -59,7 +64,7 @@ def verify_qd_recurrence(d: int, n: int) -> bool:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     lhs, lcm = _q_scaled(d, 2 * n)
     rhs, _ = _q_scaled(d, n)
-    return lhs + (2 ** d - 1) * ((n + 1) ** d - n ** d) * lcm == 2 ** d * rhs
+    return lhs + _power_mean_exponent(d, n) * lcm == 2 ** d * rhs
 
 
 def log_count(c: int) -> float:
@@ -131,9 +136,7 @@ def verify_power_mean_bound(model: SftModel, n: int, c_n1: int, c_2n1: int) -> b
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = model.dimension
-    s = model.num_symbols
-    exponent = (2 ** d - 1) * ((n + 1) ** d - n ** d)
-    return c_2n1 * s ** exponent >= c_n1 ** (2 ** d)
+    return c_2n1 * model.num_symbols ** _power_mean_exponent(d, n) >= c_n1 ** (2 ** d)
 
 
 def verify_doubling_monotonicity(

@@ -32,6 +32,7 @@ from .gluing import (
     verify_key_inequality,
 )
 from .bounds import (
+    _power_mean_exponent,
     build_report,
     report_to_csv,
     report_to_json_dict,
@@ -204,7 +205,7 @@ def cmd_verify(model: SftModel, args) -> int:
     m = n - 1
     c_n = count_patterns(model, n)
     s = model.num_symbols
-    expo = (2 ** d - 1) * ((m + 1) ** d - m ** d)
+    expo = _power_mean_exponent(d, m)
     pm = verify_power_mean_bound(model, m, c_n, c_glued)
     results.append(
         (f"power-mean bound (n={m}): {c_glued} * {s}^{expo} >= {c_n}^{1 << d}", pm)

@@ -1,10 +1,9 @@
-"""Depth-first enumeration of locally admissible patterns.
+"""Depth-first search over locally admissible patterns.
 
-The package counts with the slice transfer (``transfer.count_patterns``);
-nothing in it runs this search.  ``count_patterns_dfs``,
-``enumerate_patterns`` and ``count_by_state`` are the independent
-reference the tests check the transfer against, and ``_cell_checks`` (the
-per-cell neighbor masks) is shared with the sampler.
+``_search`` is the package's one backtracking search; the sampler takes
+its first leaf.  Run exhaustively, it gives ``count_patterns_dfs``,
+``enumerate_patterns`` and ``count_by_state``, the independent reference
+the tests check the slice transfer (``transfer.count_patterns``) against.
 
 The search assigns cells in linear-index order, so each new cell is
 constrained only by its already-placed predecessor neighbors (at most one
@@ -37,24 +36,51 @@ def _cell_checks(model: SftModel, n: int):
     return checks
 
 
-def _admissible_assignments(
-    model: SftModel, n: int, node_budget: int | None
+class _Shuffled:
+    """``values_for_mask`` in a fresh ``rng.shuffle`` order at every lookup."""
+
+    def __init__(self, values, rng):
+        self.values, self.rng = values, rng
+
+    def __getitem__(self, m: int):
+        opts = self.values[m]
+        if len(opts) < 2:  # a shuffle would draw nothing
+            return opts
+        opts = list(opts)
+        self.rng.shuffle(opts)
+        return opts
+
+
+def _search(
+    model: SftModel, n: int, budget: int, checks: list | None = None,
+    rng=None, fixed: dict[int, int] | None = None,
 ) -> Iterator[list[int]]:
     """Yield every admissible cube assignment, reusing one value buffer.
 
-    Order is lexicographic by values.  Each accepted cell assignment costs
-    one unit of node budget; exceeding it raises BudgetExceededError.
+    Values are tried in ascending order, or as ``rng.shuffle`` orders them;
+    a cell in ``fixed`` takes only its pinned value.  Each accepted cell
+    assignment costs one unit of budget; running out raises
+    BudgetExceededError.  ``checks`` defaults to ``_cell_checks(model, n)``.
     """
     cells = n ** model.dimension
-    checks = _cell_checks(model, n)
+    if checks is None:
+        checks = _cell_checks(model, n)
+    if fixed:  # a pin is one more check: offset 0, one mask whatever is read
+        checks = list(checks)
+        for i, v in fixed.items():
+            checks[i] += ((0, (1 << v,) * model.num_symbols),)
     vfm = model.values_for_mask
+    if rng:
+        vfm = _Shuffled(vfm, rng)
     full = model.full_mask
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
 
     buf = [0] * cells
-    cand: list[tuple[int, ...]] = [()] * cells
+    cand: list = [()] * cells
     pos = [0] * cells
-    cand[0] = vfm[full]
+    m = full
+    for _, masks in checks[0]:  # pins only: no cell precedes cell 0
+        m &= masks[0]
+    cand[0] = vfm[m]
     depth = 0
     while depth >= 0:
         options = cand[depth]
@@ -80,6 +106,14 @@ def _admissible_assignments(
         cand[nxt] = vfm[m]
         pos[nxt] = 0
         depth = nxt
+
+
+def _admissible_assignments(
+    model: SftModel, n: int, node_budget: int | None
+) -> Iterator[list[int]]:
+    """Every admissible assignment, lexicographic by values."""
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    return _search(model, n, budget)
 
 
 def count_patterns_dfs(model: SftModel, n: int, node_budget: int | None = None) -> int:

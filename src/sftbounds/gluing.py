@@ -69,9 +69,11 @@ def glue(inp: GlueInput) -> CubePattern:
     n = inp.n
     state0 = surface_state(pats[0])
     for t, p in enumerate(pats):
+        if t and p is pats[t - 1]:
+            continue  # checked as block t - 1
         if not is_locally_admissible(model, p):
             raise GlueError(f"input pattern {t} is not admissible")
-        if surface_state(p) != state0:
+        if t and surface_state(p) != state0:
             raise GlueError(f"input pattern {t} does not share the common state")
 
     side = 2 * n - 1

@@ -1,8 +1,10 @@
 """Seeded sampling of admissible patterns and same-state pattern groups.
 
-Every draw is one randomized backtracking search, with some cells pinned
-or none, driven by a caller-supplied ``random.Random``, so identical seeds
-give identical draws.  Used by the gluing demos and the property tests.
+Every draw is the first leaf of the package's one backtracking search,
+``enumeration._search``, with shuffled value orders and some cells pinned
+or none.  The shuffles come from a caller-supplied ``random.Random``, so
+identical seeds give identical draws.  Used by ``verify``, the gluing
+demos and the property tests.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 
 from .models import SftModel
 from .patterns import CubePattern, SurfaceState, surface_indices, surface_state
-from .enumeration import _cell_checks
+from .enumeration import BudgetExceededError, _search
 
 DEFAULT_ATTEMPT_BUDGET = 200_000
 
@@ -21,60 +23,19 @@ class SamplingError(RuntimeError):
 
 
 def _randomized_completion(
-    model: SftModel,
-    n: int,
-    rng: random.Random,
-    fixed: dict[int, int] | None = None,
-    checks: list | None = None,
+    model: SftModel, n: int, rng: random.Random,
+    fixed: dict[int, int] | None = None, checks: list | None = None,
 ) -> CubePattern:
-    """Backtracking DFS with shuffled value order; cells in ``fixed`` are
-    pinned to the given ids.  ``checks`` is ``_cell_checks(model, n)``,
-    computed here when not given.  Raises SamplingError when the budget
-    runs out or the search space is exhausted."""
-    d = model.dimension
-    cells = n ** d
-    if checks is None:
-        checks = _cell_checks(model, n)
-    vfm = model.values_for_mask
-    full = model.full_mask
-    fixed = fixed or {}
-    budget = DEFAULT_ATTEMPT_BUDGET
-
-    buf = [0] * cells
-    cand: list[list[int]] = [[] for _ in range(cells)]
-    pos = [0] * cells
-
-    def options_at(i: int) -> list[int]:
-        m = full
-        for off, masks in checks[i]:
-            m &= masks[buf[i - off]]
-        pinned = fixed.get(i)
-        if pinned is not None:
-            return [pinned] if m & (1 << pinned) else []
-        opts = list(vfm[m])
-        rng.shuffle(opts)
-        return opts
-
-    cand[0] = options_at(0)
-    depth = 0
-    while depth >= 0:
-        opts = cand[depth]
-        p = pos[depth]
-        if p == len(opts):
-            depth -= 1
-            continue
-        pos[depth] = p + 1
-        buf[depth] = opts[p]
-        budget -= 1
-        if budget < 0:
-            raise SamplingError(
-                f"no admissible pattern found within {DEFAULT_ATTEMPT_BUDGET} steps"
-            )
-        if depth + 1 == cells:
-            return CubePattern(n, d, tuple(buf))
-        depth += 1
-        cand[depth] = options_at(depth)
-        pos[depth] = 0
+    """The first leaf of the shuffled ``_search``; cells in ``fixed`` are
+    pinned to the given ids.  Raises SamplingError when the budget runs
+    out or the search space is exhausted."""
+    try:
+        for buf in _search(model, n, DEFAULT_ATTEMPT_BUDGET, checks, rng, fixed):
+            return CubePattern(n, model.dimension, tuple(buf))
+    except BudgetExceededError:
+        raise SamplingError(
+            f"no admissible pattern found within {DEFAULT_ATTEMPT_BUDGET} steps"
+        ) from None
     raise SamplingError(f"model admits no side-{n} pattern")
 
 
@@ -94,8 +55,7 @@ def sample_with_state(
     checks: list | None = None,
 ) -> CubePattern:
     """One admissible pattern whose boundary state equals ``state``."""
-    surf = surface_indices(state.n, state.d)
-    fixed = dict(zip(surf, state.cells))
+    fixed = dict(zip(surface_indices(state.n, state.d), state.cells))
     p = _randomized_completion(model, state.n, rng, fixed, checks)
     if surface_state(p) != state:
         raise AssertionError("completion does not realize the requested state")
@@ -109,19 +69,17 @@ def sample_same_state_group(
 
     A free draw (the anchor), then ``count - 1`` completions pinned to its
     state.  This loses nothing against enumerating all side-n patterns and
-    grouping them by state.  The pinned search visits only admissible
-    prefixes that agree with the pins; each is a node of the unpinned
-    enumeration tree and costs one step.  The anchor proves a completion
+    grouping them by state.  A completion is that enumeration's search with
+    pins: it visits only admissible prefixes that agree with the pins, each
+    a node of the unpinned tree at one step.  The anchor proves a completion
     exists, so a completion never costs more steps than that enumeration.
     A model with no side-n pattern raises ``SamplingError``, and every
     admissible pattern can be the anchor, so every realized state can be
     drawn.  Draws are not uniform within a group.  ``checks`` is
-    ``_cell_checks(model, n)``, computed here when not given.
+    ``_cell_checks(model, n)``, computed per draw when not given.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    if checks is None:
-        checks = _cell_checks(model, n)
     anchor_pattern = sample_admissible(model, n, rng, checks)
     anchor = surface_state(anchor_pattern)
     out = [anchor_pattern]

@@ -1,5 +1,5 @@
 """The package's public names are the ones it uses itself, and importing
-the CLI stays cheap."""
+the CLI stays cheap and loads every layer."""
 
 import ast
 import os
@@ -13,6 +13,12 @@ PACKAGE = pathlib.Path(sftbounds.__file__).parent
 
 # ``dataclasses`` and the modules it pulls in; none is needed to run the CLI.
 SLOW_STDLIB = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+# Every layer the benchmark's tracer looks up in ``sys.modules``.
+LAYERS = (
+    "cli", "models", "patterns", "enumeration",
+    "transfer", "gluing", "bounds", "sampling",
+)
 
 
 def test_every_export_is_used_in_the_package():
@@ -36,12 +42,14 @@ def test_every_export_is_used_in_the_package():
     assert sorted(exported - used) == []
 
 
-def test_cli_import_loads_no_slow_stdlib_module():
+def _after_cli_import(expr: str) -> str:
+    """``expr`` printed by a fresh interpreter right after ``import
+    sftbounds.cli``; ``before`` holds the modules loaded until then."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import sftbounds.cli\n"
-        f"print(sorted(set(sys.modules) - before & set({SLOW_STDLIB!r})))\n"
+        f"print({expr})\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
@@ -49,7 +57,17 @@ def test_cli_import_loads_no_slow_stdlib_module():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    expr = f"sorted(set(sys.modules) - before & set({SLOW_STDLIB!r}))"
+    assert _after_cli_import(expr) == "[]"
+
+
+def test_cli_import_loads_every_layer():
+    expr = f"[m for m in {LAYERS!r} if 'sftbounds.' + m not in sys.modules]"
+    assert _after_cli_import(expr) == "[]"
 
 
 def test_no_module_imports_dataclasses_or_typing():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import sftbounds.enumeration as enumeration
+import sftbounds.sampling as sampling
 from sftbounds import (
     builtin_model,
     is_locally_admissible,
@@ -48,3 +49,20 @@ def test_groups_need_no_enumeration(monkeypatch):
     for _ in range(3):
         group = sample_same_state_group(model, 3, 8, rng)
         assert len({surface_state(p) for p in group}) == 1
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2)])
+def test_completion_takes_one_leaf(monkeypatch, d, n):
+    leaves = 0
+
+    def counting(*args, **kwargs):
+        nonlocal leaves
+        for buf in enumeration._search(*args, **kwargs):
+            leaves += 1
+            yield buf
+
+    monkeypatch.setattr(sampling, "_search", counting)
+    model = builtin_model("hard-square", d)
+    group = sample_same_state_group(model, n, 1 << d, random.Random(5))
+    assert len(group) == 1 << d
+    assert leaves == 1 << d
