@@ -189,7 +189,7 @@ def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
         if counts[n] is not None and c_glued is not None:
             try:
                 _, _, row.checks.key_inequality = verify_key_inequality(
-                    model, n, c_glued
+                    model, n, c_glued, counts[n]
                 )
             except BudgetExceededError:
                 pass

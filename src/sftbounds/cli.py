@@ -196,14 +196,14 @@ def cmd_verify(model: SftModel, args) -> int:
     # C_{2n-1} and C_n serve all three checks: the power-mean and doubling
     # checks at m = n - 1 read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.
     c_glued = count_patterns(model, 2 * n - 1)
-    lhs, rhs, holds = verify_key_inequality(model, n, c_glued)
+    c_n = count_patterns(model, n)
+    lhs, rhs, holds = verify_key_inequality(model, n, c_glued, c_n)
     results.append(
         (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
          f"sum_s C_{n}^(s)^{1 << d} = {rhs}", holds)
     )
 
     m = n - 1
-    c_n = count_patterns(model, n)
     s = model.num_symbols
     expo = _power_mean_exponent(d, m)
     pm = verify_power_mean_bound(model, m, c_n, c_glued)

@@ -152,7 +152,7 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
 
 
 def verify_key_inequality(
-    model: SftModel, n: int, c_glued: int
+    model: SftModel, n: int, c_glued: int, c_n: int
 ) -> tuple[int, int, bool]:
     """Exact check that the glued constructions are all distinct:
 
@@ -160,11 +160,14 @@ def verify_key_inequality(
 
     with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``,
     the shell-keyed slice walk.  Returns (lhs, rhs, lhs >= rhs); a False
-    is a bug signal, not a mathematical possibility.
+    is a bug signal, not a mathematical possibility.  The table's sum must
+    be ``c_n`` = C_n, counted on the canonical slices alone, or it raises.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     table = state_counts(model, n)
+    if sum(table.values()) != c_n:
+        raise RuntimeError(f"the per-state table of side {n} does not sum to {c_n}")
     p = 1 << model.dimension
     rhs = sum(c ** p for c in table.values())
     return c_glued, rhs, c_glued >= rhs

@@ -154,6 +154,26 @@ class SftModel(_Value, frozen=True):
             out.append(tuple(row))
         return tuple(out)
 
+    @cached_property
+    def symbol_classes(self) -> tuple[int, ...]:
+        """symbol_classes[s]: the smallest r such that the transposition
+        (r s) maps every axis's forbidden set onto itself.  Sharing such a
+        transposition is an equivalence ((a c) is the conjugate of (b c) by
+        (a b)), so r is the smallest symbol of s's class."""
+        q = self.num_symbols
+        reps = list(range(q))
+        for s in range(1, q):
+            for r in range(s):
+                t = list(range(q))
+                t[r], t[s] = s, r
+                if all(
+                    {(t[a], t[b]) for a, b in pairs} == pairs
+                    for pairs in self.forbidden
+                ):
+                    reps[s] = r
+                    break
+        return tuple(reps)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.num_symbols) - 1

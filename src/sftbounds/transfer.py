@@ -37,6 +37,22 @@ sets, the paper's hypothesis).  So the second vector is the first one
 itself, advanced once more when n-1 is odd: about half the products, on
 counts of about half the width.
 
+The count also runs on one slice per symbol class.  Symbols r and s share
+a class when the transposition (r s) maps every axis's forbidden set onto
+itself (``SftModel.symbol_classes``; the smallest symbol represents its
+class).  Applied cell by cell, such a permutation maps slices to slices
+and compatible pairs to compatible pairs, so it commutes with T and fixes
+1: T^k 1 is constant on its orbits.  The canonical slices are those whose
+cell 0 is a representative, and tau = (rep(c) c) maps the slices with
+cell 0 = c one-to-one onto those with cell 0 = rep(c) without changing
+v * u, with v and u the two halves of the walk; so
+``C_n = sum over canonical t of |class(t_0)| * v(t) * u(t)``.  A product
+needs its output only on the canonical slices, and reads the input at s
+from the canonical slice tau s.  For coloring:q one class holds every
+symbol, so the product does one q-th of its work; hard-square has no
+class of two symbols and runs the full product, as ``state_counts``
+always does (its packed fields are not invariant).
+
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
 some coordinate n-1) is the last slice plus, in every earlier slice, the
@@ -54,7 +70,7 @@ is 0 and the key is the last cell's value.
 from __future__ import annotations
 
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, and_, floordiv, lshift, mod, mul
 
 from .models import SftModel, drop_last_axis
@@ -162,6 +178,7 @@ def _plan_product(
     last_masks: tuple[int, ...],
     phases: list,
     state_budget: int,
+    quotient: bool = False,
 ):
     """One vector-through-relation product as a walk over prefix x suffix
     matrices, factored over the slice cells.
@@ -195,12 +212,36 @@ def _plan_product(
     lists into S_p that it sums.  A column step lists (mask, output size)
     per kept v, and per suffix of S_{p+1} a tuple, per kept v, of the
     positions in S_p it sums.  ``remap`` puts the output back in slice
-    order, with zeros, when P_w is not every slice.  Returns
-    (steps, switch, remap), or None when a phase reaches nothing.
+    order, with zeros, when P_w is not every slice.
+
+    With ``quotient`` and a class of two or more symbols, phase 0 keeps
+    only representatives: the product maps a vector over the canonical
+    slices P_w, in P_w order, to one in the same order (module docstring).
+    The suffixes are those read by a kept v or a class-mate, so each S_p
+    is the full plan's; a prefix y stands for |class(y_0)| prefixes of the
+    full plan, and the budget bounds that weighted count times |S_p|, the
+    full plan's padded size, so refusals do not change.  The recursion
+    carries each prefix's image under (rep(c) c), per non-representative
+    c, and phase 0's index lists read at s the position of tau s.  A slice
+    whose image is not in P_w has no neighbor, so what is read for it
+    never reaches an output; it reads position 0.  Returns (steps, switch,
+    remap, weights), ``weights`` the class sizes over P_w (None without a
+    quotient), or None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(phases)
     reads = [[a for a in range(q) if last_masks[a] >> v & 1] for v in range(q)]
+    reps = model.symbol_classes
+    quotient = quotient and len(slices) > 1 and reps != tuple(range(q))
+    mates = reads
+    if quotient:
+        # what v or a class-mate of v reads; v's class size; (rep(c) c) on
+        # the digits per non-representative c, and on the prefixes
+        mates = [[a for c in range(q) if reps[c] == r for a in reads[c]] for r in reps]
+        sizes = list(map(reps.count, reps))
+        swaps = {c: [c if v == reps[c] else reps[c] if v == c else v for v in range(q)]
+                 for c in range(q) if reps[c] != c}
+        mirrors = dict.fromkeys(swaps, [0])
     prefixes, suffixes = [0], slices
     steps = []
     switch = w
@@ -212,11 +253,14 @@ def _plan_product(
         for i, x in enumerate(suffixes):
             at[x % q][x // q] = i
         readable = [v for v in range(q) if any(at[a] for a in reads[v])]
+        if quotient and p == 0:
+            readable = [v for v in readable if reps[v] == v]
         kept, new = _extend_prefixes(prefixes, checks, p, q, readable)
         if not kept:
             return None
-        # the suffixes some kept v reads, in groups by which a + q*x' exist
-        readable = sorted({a for v, _, _ in kept for a in reads[v]})
+        # the suffixes some kept v or a class-mate reads, in groups by
+        # which a + q*x' exist
+        readable = sorted({a for v, _, _ in kept for a in mates[v]})
         groups = {(): set().union(*(at[a] for a in readable))}
         for a in readable:
             split = {}
@@ -231,7 +275,17 @@ def _plan_product(
         groups = {sig: list(g) for sig, g in groups.items()}
         prefixes = new
         suffixes = [x for g in groups.values() for x in g]
-        if len(prefixes) * len(suffixes) > state_budget:
+        padded = len(prefixes)
+        if quotient:
+            for c, swap in swaps.items():
+                images = []  # extended as _extend_prefixes extends the prefixes
+                for v, mask, _ in kept:
+                    ys = mirrors[c] if mask is None else compress(mirrors[c], mask)
+                    images.extend(map(add, ys, repeat(swap[v] * q ** p)))
+                mirrors[c] = images
+            weights = list(map(sizes.__getitem__, map(mod, prefixes, repeat(q))))
+            padded = sum(weights)
+        if padded * len(suffixes) > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
@@ -255,11 +309,25 @@ def _plan_product(
                     zip(*idx) if idx else repeat((), size) for size, idx in parts
                 )))
             steps.append(([(mask, size) for _, mask, size in kept], sources))
-    remap = None
-    if prefixes != slices:
-        pos = dict(zip(prefixes, range(len(prefixes))))
-        remap = list(map(pos.get, slices, repeat(len(prefixes))))
-    return steps, switch, remap
+    if not quotient:
+        remap = None
+        if prefixes != slices:
+            pos = dict(zip(prefixes, range(len(prefixes))))
+            remap = list(map(pos.get, slices, repeat(len(prefixes))))
+        return steps, switch, remap, None
+    # where[s]: the position in P_w of the canonical image of slice s
+    where = dict(zip(prefixes, count()))
+    cells = list(map(mod, prefixes, repeat(q)))
+    for c, images in mirrors.items():
+        sel = list(map(reps[c].__eq__, cells))
+        where.update(zip(compress(images, sel), compress(count(), sel)))
+    get = list(map(where.get, slices, repeat(0))).__getitem__
+    # phase 0 runs on rows: P_0 is one prefix, S_0 at least two slices
+    steps[0] = [
+        (mask, [(size, [list(map(get, i)) for i in idx]) for size, idx in parts])
+        for mask, parts in steps[0]
+    ]
+    return steps, switch, None, weights
 
 
 def _rows_step(rows: list, step: list) -> list:
@@ -302,8 +370,8 @@ def _columns_step(cols: list, step: tuple) -> list:
 
 
 def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
-    """One product planned by ``_plan_product``, on a vector over the slices."""
-    steps, switch, remap = plan
+    """One product planned by ``_plan_product``, on a vector over its slices."""
+    steps, switch, remap, _ = plan
     m = [vec]  # one row, for the empty prefix
     for step in steps[:switch]:
         m = _rows_step(m, step)
@@ -317,10 +385,11 @@ def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
 
 
 def _planned_side(
-    model: SftModel, n: int, state_budget: int, fields: int = 1
+    model: SftModel, n: int, state_budget: int, fields: int = 1, quotient: bool = False
 ) -> tuple[list[int], tuple | None]:
     """The slices of side n, ascending, and the plan of the product of
-    side n (None when n == 1 or when the product of any vector is 0).
+    side n (None when n == 1 or when the product of any vector is 0),
+    on the canonical slices with ``quotient`` (see ``_plan_product``).
 
     ``fields`` counts the keys each slice's entry holds: ``fields`` times
     the slice count is checked against the budget before the plan is made
@@ -335,7 +404,8 @@ def _planned_side(
     if n == 1:  # no product
         return slices, None
     masks = model.allowed_masks[model.dimension - 1]
-    return slices, _plan_product(model, n, slices, masks, phases, state_budget)
+    plan = _plan_product(model, n, slices, masks, phases, state_budget, quotient)
+    return slices, plan
 
 
 def count_via_transfer(
@@ -343,20 +413,22 @@ def count_via_transfer(
     n: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> int:
-    """Exact cube count via the slice decomposition."""
+    """Exact cube count via the slice decomposition, on canonical slices."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    slices, plan = _planned_side(model, n, state_budget)
+    slices, plan = _planned_side(model, n, state_budget, quotient=True)
     if n == 1:
         return len(slices)
     if plan is None:  # the product of any vector is 0
         return 0
-    v = [1] * len(slices)
+    weights = plan[3]
+    v = [1] * len(slices if weights is None else weights)
     for _ in range((n - 1) // 2):
         v = _apply_plan(plan, v)
     # T = T^T: T^a 1 is also the first a steps of T^b 1
     u = _apply_plan(plan, v) if (n - 1) % 2 else v
-    return sum(map(mul, v, u))
+    vu = map(mul, v, u)
+    return sum(vu if weights is None else map(mul, weights, vu))
 
 
 def state_counts(

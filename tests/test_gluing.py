@@ -273,21 +273,40 @@ def test_extension_implies_monotone_counts(hard_square2, coloring3_d2):
 
 def test_key_inequality_hard_square(hard_square2):
     lhs, rhs, holds = verify_key_inequality(
-        hard_square2, 2, count_patterns(hard_square2, 3)
+        hard_square2, 2, count_patterns(hard_square2, 3), 7
     )
     assert (lhs, rhs, holds) == (63, 35, True)
 
 
 def test_key_inequality_full_shift_line_equality():
     model = full_shift(3, 1)
-    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3))
+    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3), 9)
     assert holds
     assert lhs == rhs == 27
 
 
+def test_key_inequality_table_must_sum_to_the_count(monkeypatch, hard_square2):
+    # the table (full products) against C_n (canonical slices): a table
+    # that misses a pattern raises in the check and in the report
+    from sftbounds import build_report
+
+    real = gluing.state_counts
+
+    def short(model, n):
+        table = real(model, n)
+        table.popitem()
+        return table
+
+    monkeypatch.setattr(gluing, "state_counts", short)
+    with pytest.raises(RuntimeError, match="side 2 does not sum to 7"):
+        verify_key_inequality(hard_square2, 2, 63, 7)
+    with pytest.raises(RuntimeError, match="does not sum to"):
+        build_report(hard_square2, 3)
+
+
 def test_key_inequality_empty_model():
     model = forbid_axis_model()
-    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3))
+    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3), 0)
     assert (lhs, rhs, holds) == (0, 0, True)
 
 

@@ -204,3 +204,50 @@ def test_allowed_tables_complement_forbidden(hard_square2):
     masks = hard_square2.allowed_masks
     assert masks[0][0] == 0b11
     assert masks[0][1] == 0b01
+
+
+def test_symbol_classes_builtins():
+    # coloring: every transposition preserves "equal colors are forbidden"
+    for q in (1, 3, 5):
+        assert builtin_model("coloring", 2, q).symbol_classes == (0,) * q
+    # hard-square: swapping 0 and 1 moves the forbidden pair (1, 1)
+    assert builtin_model("hard-square", 3).symbol_classes == (0, 1)
+    assert builtin_model("hard-square", 1).symbol_classes == (0, 1)
+
+
+def test_symbol_classes_need_every_axis():
+    # axis 1 is the 3-coloring; axis 2 is broken by every transposition
+    doc = {
+        "dimension": 2,
+        "alphabet": ["a", "b", "c"],
+        "forbidden": [
+            [["a", "a"], ["b", "b"], ["c", "c"]],
+            [["a", "a"], ["a", "b"], ["b", "a"]],
+        ],
+    }
+    assert parse_model(json.dumps(doc)).symbol_classes == (0, 1, 2)
+    # with axis 2 dropped, all three are one class
+    doc["dimension"] = 1
+    doc["forbidden"] = doc["forbidden"][:1]
+    assert parse_model(json.dumps(doc)).symbol_classes == (0, 0, 0)
+
+
+@given(st.integers(1, 4), st.data())
+def test_symbol_classes_are_the_preserving_transpositions(q, data):
+    pair = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    forbidden = []
+    for _ in range(2):
+        base = data.draw(st.frozensets(pair, max_size=5))
+        forbidden.append(base | {(b, a) for a, b in base})
+    model = SftModel(2, Alphabet(tuple(map(str, range(q)))), tuple(forbidden))
+    reps = model.symbol_classes
+    for r in range(q):
+        for s in range(q):
+            swap = {r: s, s: r}
+            preserved = all(
+                {(swap.get(a, a), swap.get(b, b)) for a, b in pairs} == pairs
+                for pairs in forbidden
+            )
+            assert preserved == (reps[r] == reps[s]), (forbidden, r, s)
+    # each class's representative is its smallest symbol
+    assert all(reps[s] <= s and reps[reps[s]] == reps[s] for s in range(q))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ from sftbounds import (
     builtin_model,
     count_patterns,
     count_via_transfer,
+    parse_model,
 )
 from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
 from sftbounds.models import drop_last_axis
@@ -22,6 +24,7 @@ from sftbounds.transfer import (
     _apply_plan,
     _phase_checks,
     _plan_product,
+    _planned_side,
     build_slice_space,
     state_counts,
 )
@@ -383,9 +386,10 @@ def symmetric_models_d3(draw):
 
 
 class PlannedProduct:
-    """The planned product of one side, on dicts keyed by slice."""
+    """The planned product of one side, on dicts keyed by slice (the full
+    plan, unless ``quotient``)."""
 
-    def __init__(self, model, n):
+    def __init__(self, model, n, quotient=False):
         self.slices = sorted(slice_vector(model, n))
         self.plan = _plan_product(
             model,
@@ -394,6 +398,7 @@ class PlannedProduct:
             model.allowed_masks[model.dimension - 1],
             _phase_checks(model, n),
             DEFAULT_STATE_BUDGET,
+            quotient,
         )
 
     def __call__(self, dist):
@@ -406,7 +411,7 @@ class PlannedProduct:
 
     def factor_sizes(self):
         """(|P_p|, |S_p|) after each phase, read off the plan's steps."""
-        steps, switch, _ = self.plan
+        steps, switch, _, _ = self.plan
         sizes = []
         rows = 1
         for p, step in enumerate(steps):
@@ -525,6 +530,8 @@ def test_compiled_budget_refusals_match_dict_path(
         (coloring3_d2, 4, range(1, 200, 2)),
         (hard_square3, 3, range(60, 200, 2)),
         (forbid_last_axis_model(), 4, range(1, 40)),
+        (coloring3_d2, 5, range(1, 800, 7)),
+        (builtin_model("coloring", 2, 4), 4, range(1, 3000, 17)),
     ]:
         seen = set()
         for budget in budgets:
@@ -533,6 +540,132 @@ def test_compiled_budget_refusals_match_dict_path(
             seen.add(type(got))
         # each range covers both refusals and counts
         assert seen == {str, int}, (model, n)
+
+
+def assert_quotient_matches(model, n, expected=None):
+    """The count on class representatives against the dict walk's half
+    walk (and ``expected``, when given); its plan against the full plan:
+    the same suffixes at every phase and the same budget refusals."""
+    count = count_via_transfer(model, n)
+    assert count == dict_half_walk(model, n, DEFAULT_STATE_BUDGET), (model, n)
+    if expected is not None:
+        assert count == expected, (model, n)
+    full = PlannedProduct(model, n)
+    canonical = PlannedProduct(model, n, quotient=True)
+    if full.plan is None:
+        assert canonical.plan is None
+        return
+    sizes = full.factor_sizes()
+    assert [cols for _, cols in canonical.factor_sizes()] == [c for _, c in sizes]
+    weights = canonical.plan[3]
+    if weights is None:  # no class of two symbols, or a single slice
+        assert canonical.plan == full.plan
+        return
+    # the weighted canonical slices are the full plan's last prefixes
+    assert sum(weights) == sizes[-1][0]
+    padded = max(rows * cols for rows, cols in sizes)
+    for budget in (padded - 1, padded):
+        assert refusal(model, n, budget, False) == refusal(model, n, budget, True)
+
+
+def refusal(model, n, budget, quotient):
+    """The budget error of planning side n, or None."""
+    try:
+        _planned_side(model, n, budget, quotient=quotient)
+    except BudgetExceededError as err:
+        return str(err)
+    return None
+
+
+def test_quotient_counts_colorings():
+    for q in (3, 4, 5):
+        for d, dfs_sides, walk_sides in (
+            (1, range(1, 7), range(7, 10)),
+            (2, range(1, 4), range(4, 6 if q == 3 else 5)),
+            (3, range(1, 3), range(3, 4 if q == 3 else 3)),
+        ):
+            model = builtin_model("coloring", d, q)
+            for n in dfs_sides:
+                assert_quotient_matches(model, n, count_patterns_dfs(model, n))
+            for n in walk_sides:
+                assert_quotient_matches(model, n)
+
+
+def test_quotient_on_uneven_classes():
+    # (a b) preserves both axes, nothing moves c or d: classes {a, b}, {c}, {d}
+    doc = {
+        "dimension": 2,
+        "alphabet": ["a", "b", "c", "d"],
+        "forbidden": [
+            [["a", "a"], ["b", "b"], ["c", "c"], ["c", "d"], ["d", "c"]],
+            [["a", "b"], ["b", "a"], ["d", "d"]],
+        ],
+    }
+    model = parse_model(json.dumps(doc))
+    assert model.symbol_classes == (0, 0, 2, 3)
+    for n in range(1, 4):
+        assert_quotient_matches(model, n, count_patterns_dfs(model, n))
+    for n in range(4, 6):
+        assert_quotient_matches(model, n)
+    # per canonical slice, the weight of its first cell's class
+    weights = PlannedProduct(model, 3, quotient=True).plan[3]
+    assert sorted(set(weights)) == [1, 2]
+    # c has no neighbor along axis 2, so no slice holding a c has one:
+    # their images are not among the plan's canonical slices, and what
+    # phase 0 reads for them (position 0) never reaches an output
+    every_c = [["c", s] for s in "abc"] + [["a", "c"], ["b", "c"]]
+    doc = {
+        "dimension": 2,
+        "alphabet": ["a", "b", "c"],
+        "forbidden": [[["a", "b"], ["b", "a"]], every_c],
+    }
+    model = parse_model(json.dumps(doc))
+    assert model.symbol_classes == (0, 0, 2)
+    for n in range(1, 5):
+        assert_quotient_matches(model, n, count_patterns_dfs(model, n))
+    canonical = PlannedProduct(model, 4, quotient=True)
+    assert 2 * len(canonical.plan[3]) < len(canonical.slices)
+
+
+def test_quotient_needs_every_axis():
+    # a swap preserves axis 1 (the 3-coloring) but none preserves axis 2
+    doc = {
+        "dimension": 2,
+        "alphabet": ["a", "b", "c"],
+        "forbidden": [
+            [["a", "a"], ["b", "b"], ["c", "c"]],
+            [["a", "a"], ["a", "b"], ["b", "a"]],
+        ],
+    }
+    model = parse_model(json.dumps(doc))
+    assert model.symbol_classes == (0, 1, 2)
+    for n in range(1, 5):
+        assert_quotient_matches(model, n, count_patterns_dfs(model, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models_d2(), st.integers(1, 4))
+def test_quotient_matches_dict_walk_random(model, n):
+    assert_quotient_matches(model, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_models_d3())
+def test_quotient_matches_dict_walk_random_d3(case):
+    assert_quotient_matches(*case)
+
+
+def test_quotient_plan_sizes(hard_square2, coloring3_d2):
+    # a timing-free guard: on coloring:3 every phase of the count's plan
+    # holds a third of the table plan's prefixes, over the same suffixes
+    canonical = PlannedProduct(coloring3_d2, 6, quotient=True).factor_sizes()
+    full = PlannedProduct(coloring3_d2, 6).factor_sizes()
+    assert [(3 * rows, cols) for rows, cols in canonical] == full
+    # hard-square has no class of two symbols: one plan for both
+    assert (
+        PlannedProduct(hard_square2, 6, quotient=True).plan
+        == PlannedProduct(hard_square2, 6).plan
+    )
 
 
 def test_count_patterns_sides_1_to_4(hard_square2):
