@@ -17,12 +17,17 @@ applied one slice cell at a time.  Before phase p a live state is a pair
 p..w-1.  The within-slice test on the new cell reads only y and the
 last-axis test only the first digit of x, so the phase's vector is held
 as a matrix over prefixes x suffixes, as Python lists, and the phase maps
-rows (or columns) to rows (or columns) by C-level ``map`` gathers and
-adds, one per row and symbol rather than one per state (``_apply_plan``).
-Every product of a side shares one structure, so it is planned once per
-side (``_plan_product``): per phase, index lists over the new suffixes
-and 0/1 masks over the prefixes, about (prefixes + suffixes) * q per
-phase, against prefixes * suffixes for a product.
+rows (or columns) to rows (or columns) by C-level gathers and adds, one
+per row and symbol rather than one per state (``_apply_plan``).  Every
+product of a side shares one structure, so it is planned once per side
+(``_plan_product``), at about (prefixes + suffixes) * q per phase against
+prefixes * suffixes for a product.  A suffix is packed with its first
+cell most significant and each phase's suffixes are kept sorted, so
+those that begin with a symbol a are one block, listed in the order of
+the next phase's suffixes.  Those fall into a few runs (2 per phase on
+hard-square d=2, 3 on coloring:3), and what a run reads from a block is
+one range: each row gather is a list slice, except that phase 0 reads
+the input, in slice order, by index lists.
 
 The slices are the prefixes of full length, so the all-ones slice vector
 comes from the same prefix recursion as the plan (``_extend_prefixes``),
@@ -70,8 +75,9 @@ is 0 and the key is the last cell's value.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from itertools import chain, compress, count, repeat
-from operator import add, and_, floordiv, lshift, mod, mul
+from operator import add, and_, floordiv, lshift, mod, mul, sub
 
 from .models import SftModel, drop_last_axis
 from .patterns import decode, surface_indices
@@ -171,6 +177,36 @@ def build_slice_space(
     return dict.fromkeys(prefixes, 1)
 
 
+def _reversals(q: int, k: int) -> list[int]:
+    """Each of 0..q^k-1 with its k base-q digits in reverse order."""
+    table = [0]
+    for _ in range(k):  # a new top digit t of the index is the entry's lowest
+        table = [t + q * r for t in range(q) for r in table]
+    return table
+
+
+def _first_cell_major(slices: list[int], q: int, w: int) -> tuple[list, list]:
+    """``slices`` in suffix packing (cell p at digit w-1-p), ascending, and
+    the position in ``slices`` of each."""
+    k = -(-w // 2)  # digits reversed at a time, by a table of q^k entries
+    while k > 1 and q ** k > 4096:
+        k -= 1
+    table = _reversals(q, k)
+    # the first chunk has the r <= k digits left over, the others k each;
+    # the k-digit reversal of c < q^r is its r-digit one times q^(k-r)
+    r = w - (w - 1) // k * k
+    head = list(map(floordiv, table[:q ** r], repeat(q ** (k - r))))
+    revs = map(head.__getitem__, map(mod, slices, repeat(q ** r)))
+    for i in range(r, w, k):
+        digits = map(floordiv, slices, repeat(q ** i))
+        if i + k < w:
+            digits = map(mod, digits, repeat(q ** k))
+        revs = map(add, map(mul, revs, repeat(q ** k)), map(table.__getitem__, digits))
+    revs = list(revs)
+    order = sorted(range(len(slices)), key=revs.__getitem__)
+    return list(map(revs.__getitem__, order)), order
+
+
 def _plan_product(
     model: SftModel,
     n: int,
@@ -185,33 +221,36 @@ def _plan_product(
 
     Before phase p a live state is a pair (y, x): y is the next slice's
     cells 0..p-1 (prefix, cell j at digit j) and x the previous slice's
-    cells p..w-1 (suffix, cell p at digit 0).  ``last_masks[a]`` is the
-    set of values the next slice may hold where the previous one holds a,
-    and ``phases`` is ``_phase_checks(model, n)``.  The phase
-    maps (y, a + q*x') to (y + v*q^p, x'); the within-slice test on v reads
-    only y and the last-axis test only a.  So the vector of phase p is held
-    as a matrix over P_p x S_p, the prefixes and suffixes some slice
-    reaches: y + v*q^p is kept when v passes the within-slice test at y and
-    some a that allows v begins a suffix (``_extend_prefixes``), and x' when
-    a + q*x' is a suffix for an a that a kept v reads.  A pair of P_p x S_p
-    that is not a live state (a padded pair) is reached from no slice, so
-    it holds 0 in every product and the counts stay exact.  The budget
-    bounds the padded size |P_p| * |S_p| of every phase, before any
-    product runs.
+    cells p..w-1 (suffix, cell j at digit w-1-j, the first cell most
+    significant).  ``last_masks[a]`` is the set of values the next slice
+    may hold where the previous one holds a; ``phases`` is
+    ``_phase_checks(model, n)``.  The phase maps (y, a x') to
+    (y + v*q^p, x'): the within-slice test on v reads only y and the
+    last-axis test only a.  So the vector of phase p is a matrix over
+    P_p x S_p, the prefixes and suffixes some slice reaches: y + v*q^p is
+    kept when v passes the within-slice test at y and some a that allows v
+    begins a suffix (``_extend_prefixes``), and x' when a x' is a suffix
+    for an a that a kept v reads.  A pair of P_p x S_p that is not a live
+    state (a padded pair) is reached from no slice, so it holds 0 in every
+    product and the counts stay exact.  The budget bounds the padded size
+    |P_p| * |S_p| of every phase, before any product runs.
 
-    P_0 is the empty prefix and S_0 is ``slices`` (ascending).  Prefixes
-    are listed v-major, so P_w comes out ascending.  S_{p+1} is listed in
-    groups of the suffixes x' with the same set of a for which a + q*x' is
-    in S_p, so no gather reads an absent source.  Steps before ``switch``
-    run on rows over suffixes (one per prefix), the rest on columns over
-    prefixes (one per suffix); the layout turns once, at the first phase
-    where |P_p| >= |S_p|, so the inner lists stay the long side.
-
-    A row step lists, per kept v, the 0/1 mask over P_p of the prefixes
-    that take v (None when all do) and, per group, its size and the index
-    lists into S_p that it sums.  A column step lists (mask, output size)
-    per kept v, and per suffix of S_{p+1} a tuple, per kept v, of the
-    positions in S_p it sums.  ``remap`` puts the output back in slice
+    P_0 is the empty prefix and S_0 every slice (``_first_cell_major``).
+    Prefixes are listed v-major, so P_w comes out ascending, and every S_p
+    is ascending: the suffixes that begin with a are one block of S_p
+    (found by bisection), in the order of their tails x' in S_{p+1}.  So
+    S_{p+1} falls into runs, maximal ranges of x' with the same set of a
+    for which a x' is in S_p, and a run reads one range of each a's
+    block.  Steps before ``switch`` run on rows over suffixes (one per
+    prefix), the rest on columns over prefixes (one per suffix); the
+    layout turns once, at the first phase where |P_p| >= |S_p|, so the
+    inner lists stay the long side.  A row step lists, per kept v, the 0/1
+    mask over P_p of the prefixes that take v (None when all do) and, per
+    run, its size and the slices of S_p it sums.  A column step lists
+    (mask, output size) per kept v, and per suffix of S_{p+1} a tuple, per
+    kept v, of the positions in S_p it sums.  The input is in slice order,
+    so phase 0 reads each suffix of S_0 at its position in the input: its
+    slices become index lists.  ``remap`` puts the output back in slice
     order, with zeros, when P_w is not every slice.
 
     With ``quotient`` and a class of two or more symbols, phase 0 keeps
@@ -222,11 +261,11 @@ def _plan_product(
     full plan, and the budget bounds that weighted count times |S_p|, the
     full plan's padded size, so refusals do not change.  The recursion
     carries each prefix's image under (rep(c) c), per non-representative
-    c, and phase 0's index lists read at s the position of tau s.  A slice
-    whose image is not in P_w has no neighbor, so what is read for it
-    never reaches an output; it reads position 0.  Returns (steps, switch,
-    remap, weights), ``weights`` the class sizes over P_w (None without a
-    quotient), or None when a phase reaches nothing.
+    c, and phase 0 reads at s the position of tau s.  A slice whose image
+    is not in P_w has no neighbor, so what is read for it never reaches an
+    output; it reads position 0.  Returns (steps, switch, remap, weights),
+    ``weights`` the class sizes over P_w (None without a quotient), or
+    None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(phases)
@@ -242,39 +281,53 @@ def _plan_product(
         swaps = {c: [c if v == reps[c] else reps[c] if v == c else v for v in range(q)]
                  for c in range(q) if reps[c] != c}
         mirrors = dict.fromkeys(swaps, [0])
-    prefixes, suffixes = [0], slices
+    suffixes, order = _first_cell_major(slices, q, w)
+    prefixes = [0]
     steps = []
     switch = w
+    remap = weights = None
     for p, checks in enumerate(phases):
         if switch == w and len(prefixes) >= len(suffixes):
             switch = p
-        # at[a]: x' -> position of a + q*x' in the suffixes
-        at = [{} for _ in range(q)]
-        for i, x in enumerate(suffixes):
-            at[x % q][x // q] = i
-        readable = [v for v in range(q) if any(at[a] for a in reads[v])]
+        # a's block of the suffixes is lo[a]..lo[a+1]-1
+        top = q ** (w - 1 - p)
+        lo = [*map(bisect_left, repeat(suffixes), range(0, q * top, top)), len(suffixes)]
+        readable = [v for v in range(q) if any(lo[a] < lo[a + 1] for a in reads[v])]
         if quotient and p == 0:
             readable = [v for v in readable if reps[v] == v]
         kept, new = _extend_prefixes(prefixes, checks, p, q, readable)
         if not kept:
             return None
-        # the suffixes some kept v or a class-mate reads, in groups by
-        # which a + q*x' exist
-        readable = sorted({a for v, _, _ in kept for a in mates[v]})
-        groups = {(): set().union(*(at[a] for a in readable))}
-        for a in readable:
-            split = {}
-            for sig, g in groups.items():
-                for key, part in (
-                    (sig + (a,), g.intersection(at[a])),
-                    (sig, g.difference(at[a])),
-                ):
-                    if part:
-                        split[key] = part
-            groups = split
-        groups = {sig: list(g) for sig, g in groups.items()}
+        # the tails of the blocks some kept v or a class-mate reads
+        firsts = sorted({a for v, _, _ in kept for a in mates[v] if lo[a] < lo[a + 1]})
+        tails = [list(map(sub, suffixes[lo[a]:lo[a + 1]], repeat(a * top))) for a in firsts]
+        suffixes = tails[0] if len(tails) == 1 else [*dict.fromkeys(sorted(chain(*tails)))]
+        # where each tail matches a range of the new suffixes, the offset
+        # from there to a's block; the runs start and stop at those ranges
+        marks = {}
+        for a, tail in zip(firsts, tails):
+            i = j = 0
+            while j < len(tail):
+                i = bisect_left(suffixes, tail[j], i)
+                k = min(len(tail) - j, len(suffixes) - i)
+                # a tail is a sorted subset: if the k-th pair matches, all do
+                if tail[j + k - 1] != suffixes[i + k - 1]:
+                    k = bisect_left(range(k), True,
+                                    key=lambda m: tail[j + m] != suffixes[i + m])
+                marks.setdefault(i, {})[a] = lo[a] + j - i
+                marks.setdefault(i + k, {})[a] = None
+                i, j = i + k, j + k
+        # per kept v and run: its size and the ranges of S_p it sums
+        span = slice if p < switch else range
+        by_v = [[] for _ in kept]
+        cuts = sorted(marks)
+        offsets = {}
+        for i, end in zip(cuts, cuts[1:]):
+            offsets.update(marks[i])
+            for (v, _, _), parts in zip(kept, by_v):
+                parts.append((end - i, [span(i + offsets[a], end + offsets[a])
+                                        for a in reads[v] if offsets.get(a) is not None]))
         prefixes = new
-        suffixes = [x for g in groups.values() for x in g]
         padded = len(prefixes)
         if quotient:
             for c, swap in swaps.items():
@@ -289,16 +342,6 @@ def _plan_product(
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
-        # per kept v and group: its size and the index lists it sums
-        index = {
-            sig: {a: list(map(at[a].__getitem__, g)) for a in sig}
-            for sig, g in groups.items()
-        }
-        by_v = [
-            [(len(g), [index[sig][a] for a in reads[v] if a in sig])
-             for sig, g in groups.items()]
-            for v, _, _ in kept
-        ]
         if p < switch:
             steps.append(list(zip([mask for _, mask, _ in kept], by_v)))
         else:
@@ -309,42 +352,40 @@ def _plan_product(
                     zip(*idx) if idx else repeat((), size) for size, idx in parts
                 )))
             steps.append(([(mask, size) for _, mask, size in kept], sources))
-    if not quotient:
-        remap = None
-        if prefixes != slices:
-            pos = dict(zip(prefixes, range(len(prefixes))))
-            remap = list(map(pos.get, slices, repeat(len(prefixes))))
-        return steps, switch, remap, None
-    # where[s]: the position in P_w of the canonical image of slice s
-    where = dict(zip(prefixes, count()))
-    cells = list(map(mod, prefixes, repeat(q)))
-    for c, images in mirrors.items():
-        sel = list(map(reps[c].__eq__, cells))
-        where.update(zip(compress(images, sel), compress(count(), sel)))
-    get = list(map(where.get, slices, repeat(0))).__getitem__
-    # phase 0 runs on rows: P_0 is one prefix, S_0 at least two slices
-    steps[0] = [
-        (mask, [(size, [list(map(get, i)) for i in idx]) for size, idx in parts])
-        for mask, parts in steps[0]
-    ]
-    return steps, switch, None, weights
+    if quotient:
+        # phase 0 reads each suffix of S_0 at the position in P_w of the
+        # canonical image of its slice
+        where = dict(zip(prefixes, count()))
+        cells = list(map(mod, prefixes, repeat(q)))
+        for c, images in mirrors.items():
+            sel = list(map(reps[c].__eq__, cells))
+            where.update(zip(compress(images, sel), compress(count(), sel)))
+        order = list(map(where.get, map(slices.__getitem__, order), repeat(0)))
+    elif prefixes != slices:
+        pos = dict(zip(prefixes, count()))
+        remap = list(map(pos.get, slices, repeat(len(prefixes))))
+    # phase 0 runs on rows unless there is one slice (and ``order`` is [0])
+    if switch:
+        steps[0] = [
+            (mask, [(size, [order[s] for s in idx]) for size, idx in parts])
+            for mask, parts in steps[0]
+        ]
+    return steps, switch, remap, weights
 
 
 def _rows_step(rows: list, step: list) -> list:
-    """One prefix-major phase: per kept v and prefix, gather and add."""
+    """One prefix-major phase: per kept v and prefix, gather and add (by
+    slices, and by index lists in phase 0)."""
     out = []
     for mask, groups in step:
         for row in rows if mask is None else compress(rows, mask):
-            get = row.__getitem__
             new = []
             for size, idx in groups:
-                if idx:
-                    it = map(get, idx[0])
-                    for more in idx[1:]:
-                        it = map(add, it, map(get, more))
-                    new.extend(it)
-                else:
-                    new.extend(repeat(0, size))
+                it = None
+                for s in idx:
+                    part = row[s] if s.__class__ is slice else map(row.__getitem__, s)
+                    it = part if it is None else map(add, it, part)
+                new.extend(repeat(0, size) if it is None else it)
             out.append(new)
     return out
 
@@ -357,14 +398,11 @@ def _columns_step(cols: list, step: tuple) -> list:
     for srcs in sources:
         new = []
         for (mask, size), js in zip(kept, srcs):
-            if not js:
-                new.extend(repeat(0, size))
-                continue
             it = None
             for j in js:
                 col = cols[j] if mask is None else compress(cols[j], mask)
                 it = col if it is None else map(add, it, col)
-            new.extend(it)
+            new.extend(repeat(0, size) if it is None else it)
         out.append(new)
     return out
 
@@ -491,22 +529,17 @@ def state_counts(
     for k in range(n - 1):
         shifts = map(mul, codes, repeat(block ** k * width))
         vec = _apply_plan(plan, list(map(lshift, vec, shifts)))
-    # prefix[f]: the key prefix g of field f; step j appends slice j's code
-    # c, at f + c * Q^j and g * Q + c
-    prefix = [0]
-    for _ in range(n - 1):
-        shifted = list(map(mul, prefix, repeat(block)))
-        prefix = list(chain.from_iterable(
-            map(add, shifted, repeat(c)) for c in range(block)
-        ))
-    return _unpack(vec, slices, prefix, width)
+    # the key prefix g of field f lists the same n-1 codes, slice 0 first:
+    # the base-Q digits of f reversed
+    return _unpack(vec, slices, _reversals(block, n - 1), width)
 
 
 def _unpack(vec: list[int], slices: list[int], prefix: list[int], width: int):
     """The nonzero ``width``-bit fields of each entry, keyed (prefix, slice).
 
     Each entry becomes a list of 64-bit words at C level, and a field of
-    several words is joined from its words; field f gets key prefix[f].
+    several words is joined from its words, where an upper word of some
+    field is nonzero; field f gets key prefix[f].
     """
     words = width // 64
     size = len(prefix) * width // 8
@@ -519,7 +552,8 @@ def _unpack(vec: list[int], slices: list[int], prefix: list[int], width: int):
             raw.reverse()
         vals = raw[::words]
         for j in range(1, words):
-            vals = list(map(add, vals, map(lshift, raw[j::words], repeat(64 * j))))
+            if any(high := raw[j::words]):
+                vals = list(map(add, vals, map(lshift, high, repeat(64 * j))))
         out.update(zip(zip(compress(prefix, vals), repeat(s)), compress(vals, vals)))
     return out
 

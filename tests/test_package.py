@@ -2,12 +2,18 @@
 the CLI stays cheap and loads every layer."""
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
 import sftbounds
+from sftbounds import builtin_model
+from sftbounds.enumeration import count_patterns_dfs
+from sftbounds.models import drop_last_axis
+from sftbounds.transfer import _phase_checks, build_slice_space, count_via_transfer
 
 PACKAGE = pathlib.Path(sftbounds.__file__).parent
 
@@ -85,3 +91,29 @@ def test_no_module_imports_dataclasses_or_typing():
                 if name.split(".")[0] in ("dataclasses", "typing")
             ]
     assert found == []
+
+
+def test_bench_tracer_contract():
+    # bench/spans.py wraps the functions named in TRACED and binds their
+    # arguments by name; read the table without importing the tracer
+    # (it imports numpy)
+    spans = PACKAGE.parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    assert set(traced) == set(LAYERS)
+    missing = [
+        f"{layer}.{name}" for layer, names in traced.items() for name in names
+        if not callable(getattr(importlib.import_module(f"sftbounds.{layer}"), name, None))
+    ]
+    assert missing == []
+    for fn in (count_via_transfer, build_slice_space):
+        assert {"model", "n"} <= set(inspect.signature(fn).parameters), fn
+    for d, sides in ((2, range(1, 6)), (3, range(1, 4))):
+        model = builtin_model("hard-square", d)
+        for n in sides:
+            slices = build_slice_space(model, n, _phase_checks(model, n))
+            assert len(slices) == count_patterns_dfs(drop_last_axis(model), n)

@@ -491,6 +491,76 @@ def test_planned_product_pads_nothing(hard_square2, hard_square3, coloring3_d2):
         assert_planned_matches_advance(model, n, exact_padding=True)
 
 
+def phase_runs(plan):
+    """Per phase after the first: the runs of its new suffixes, the
+    maximal ranges that read the same symbols' blocks, each by one range.
+    A row step lists one group per run, and every gather is a slice; a
+    column step lists per suffix its source positions, which a run
+    continues one position on."""
+    steps, switch, _, _ = plan
+    runs = []
+    for p, step in enumerate(steps[1:], 1):
+        if p < switch:
+            gathers = [s for _, groups in step for _, idx in groups for s in idx]
+            assert all(isinstance(s, slice) for s in gathers), p
+            assert len({len(groups) for _, groups in step}) == 1, p
+            runs.append(len(step[0][1]))
+        else:
+            sources = step[1]
+            runs.append(1 + sum(
+                any(len(a) != len(b) or any(j != i + 1 for i, j in zip(a, b))
+                    for a, b in zip(prev, srcs))
+                for prev, srcs in zip(sources, sources[1:])
+            ))
+    return runs
+
+
+def test_planned_product_gathers_runs_by_slices(hard_square2, coloring3_d2):
+    # a timing-free guard: hard-square's new suffixes split into those that
+    # may follow a 1 and those that may not, coloring:3's by their first
+    # cell; the last phase has the one empty suffix
+    for model, n, per_phase in [
+        (hard_square2, 9, 2), (hard_square2, 12, 2), (coloring3_d2, 6, 3),
+    ]:
+        for quotient in (False, True):
+            plan = PlannedProduct(model, n, quotient).plan
+            assert phase_runs(plan) == [per_phase] * (n - 2) + [1], (model, n)
+
+
+def isolated_symbol_model(d, axis):
+    """Hard-square on 0 and 1, and a symbol 2 with no allowed neighbor
+    along ``axis``, a slice axis: 2 may begin a prefix but no slice of
+    side >= 2 holds it, so an admissible suffix of the one cell 2 extends
+    to no slice."""
+    square = frozenset({(1, 1)})
+    isolated = square | {(2, s) for s in range(3)} | {(s, 2) for s in range(3)}
+    forbidden = tuple(isolated if k == axis else square for k in range(d))
+    return SftModel(d, Alphabet(("0", "1", "2")), forbidden)
+
+
+def test_isolated_symbol_pads_nothing():
+    # the suffixes come from the slices, not from the admissible suffixes:
+    # each phase's matrix is exactly its live states, and refusals match
+    for model, sides, budgets in [
+        (isolated_symbol_model(2, 0), range(1, 6), range(1, 60)),
+        (isolated_symbol_model(3, 0), range(1, 4), range(1, 800, 7)),
+        (isolated_symbol_model(3, 1), range(1, 4), range(1, 400, 3)),
+    ]:
+        for n in sides:
+            count = count_via_transfer(model, n)
+            assert count == count_patterns_dfs(model, n), (model, n)
+            assert count == dict_half_walk(model, n, DEFAULT_STATE_BUDGET), (model, n)
+            assert_planned_matches_advance(model, n, exact_padding=True)
+            if n < 3:
+                assert_table_matches_groups(model, n)
+        seen = set()
+        for budget in budgets:
+            got = outcome(count_via_transfer, model, sides[-1], budget)
+            assert got == outcome(dict_half_walk, model, sides[-1], budget), budget
+            seen.add(type(got))
+        assert seen == {str, int}, model
+
+
 @settings(max_examples=40, deadline=None)
 @given(symmetric_models_d2(), st.integers(1, 4))
 def test_planned_product_matches_advance_random(model, n):
