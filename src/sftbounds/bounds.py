@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .models import SftModel, _Value, model_to_doc
-from .transfer import BudgetExceededError, count_patterns
+from .transfer import BudgetExceededError, Side, count_patterns
 from .gluing import verify_key_inequality
 
 
@@ -165,14 +165,20 @@ def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
     per-row checks are filled in whenever they only need counts up to
     n_max + 1 (the state-resolved inequality also needs the per-state
     table of side n).  A count or table that exceeds its budget marks
-    that piece unavailable instead of aborting the report.
+    that piece unavailable instead of aborting the report.  The count
+    and the table of side n share one ``Side``: it is listed and planned
+    once.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     counts: dict[int, int | None] = {}
+    sides = {}  # the sides whose table a row checks: C_{2n-1} is counted
     for n in range(1, n_max + 2):
+        side = Side(model, n)
+        if 2 * n - 1 <= n_max + 1:
+            sides[n] = side
         try:
-            counts[n] = count_patterns(model, n)
+            counts[n] = count_patterns(model, n, side=side)
         except BudgetExceededError:
             counts[n] = None
     rows = []
@@ -189,7 +195,7 @@ def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
         if counts[n] is not None and c_glued is not None:
             try:
                 _, _, row.checks.key_inequality = verify_key_inequality(
-                    model, n, c_glued, counts[n]
+                    model, n, c_glued, counts[n], sides.pop(n)
                 )
             except BudgetExceededError:
                 pass

@@ -21,7 +21,7 @@ import sys
 
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
 from .patterns import format_pattern, is_locally_admissible
-from .transfer import BudgetExceededError, count_patterns
+from .transfer import BudgetExceededError, Side, count_patterns
 from .gluing import (
     GlueError,
     GlueInput,
@@ -194,10 +194,12 @@ def cmd_verify(model: SftModel, args) -> int:
     results = []
 
     # C_{2n-1} and C_n serve all three checks: the power-mean and doubling
-    # checks at m = n - 1 read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.
+    # checks at m = n - 1 read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.  The
+    # count and the table of side n share one Side.
     c_glued = count_patterns(model, 2 * n - 1)
-    c_n = count_patterns(model, n)
-    lhs, rhs, holds = verify_key_inequality(model, n, c_glued, c_n)
+    side = Side(model, n)
+    c_n = count_patterns(model, n, side=side)
+    lhs, rhs, holds = verify_key_inequality(model, n, c_glued, c_n, side)
     results.append(
         (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
          f"sum_s C_{n}^(s)^{1 << d} = {rhs}", holds)

@@ -23,7 +23,7 @@ from .patterns import (
     restrict,
     surface_state,
 )
-from .transfer import state_counts
+from .transfer import Side, state_counts
 
 
 class GlueError(ValueError):
@@ -152,20 +152,21 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
 
 
 def verify_key_inequality(
-    model: SftModel, n: int, c_glued: int, c_n: int
+    model: SftModel, n: int, c_glued: int, c_n: int, side: Side | None = None
 ) -> tuple[int, int, bool]:
     """Exact check that the glued constructions are all distinct:
 
         C_{2n-1}  >=  sum over states s of (C_n^(s)) ** (2^d),
 
     with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``,
-    the shell-keyed slice walk.  Returns (lhs, rhs, lhs >= rhs); a False
+    the shell-keyed slice walk, on ``side`` when given (the ``Side`` the
+    count of C_n ran on).  Returns (lhs, rhs, lhs >= rhs); a False
     is a bug signal, not a mathematical possibility.  The table's sum must
     be ``c_n`` = C_n, counted on the canonical slices alone, or it raises.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    table = state_counts(model, n)
+    table = state_counts(model, n, side=side)
     if sum(table.values()) != c_n:
         raise RuntimeError(f"the per-state table of side {n} does not sum to {c_n}")
     p = 1 << model.dimension

@@ -26,8 +26,17 @@ cell most significant and each phase's suffixes are kept sorted, so
 those that begin with a symbol a are one block, listed in the order of
 the next phase's suffixes.  Those fall into a few runs (2 per phase on
 hard-square d=2, 3 on coloring:3), and what a run reads from a block is
-one range: each row gather is a list slice, except that phase 0 reads
-the input, in slice order, by index lists.
+one range: each row gather is a list slice.
+
+The suffixes of phase 0 need no repacking.  Let R be the point
+reflection of a slice, which sends cell j to cell w-1-j.  It maps a pair
+of neighbors along a slice axis to the same pair in reverse order, and
+every forbidden set is symmetric, so R maps slices to slices; it maps
+compatible pairs to compatible pairs, so RT = TR, and R1 = 1.  The
+suffix packing of a slice is the prefix packing of its reflection, so the
+suffixes of phase 0 are the ascending slice list itself, position i
+standing for the slice R(s_i).  A product so planned computes T R, which
+is T on every R-invariant vector, and every T^k 1 is one.
 
 The slices are the prefixes of full length, so the all-ones slice vector
 comes from the same prefix recursion as the plan (``_extend_prefixes``),
@@ -66,10 +75,16 @@ halved) planned product n-1 times, once per step for every shell prefix
 at once: each entry of the vector packs one count per shell prefix in
 fixed-width bit fields of one integer, and before each product an entry
 moves to the fields of the prefixes that append its slice's shell digits
-by one left shift.  After n-1 products a (shell prefix, last slice) key
-is one boundary state, and its field holds the number of patterns with
-that state.  In d = 1 no earlier slice has a shell cell, so every prefix
-is 0 and the key is the last cell's value.
+(or its reflection's, so that the R of each T R cancels) by one left
+shift.  After n-1 products a (shell prefix, last slice) key is one
+boundary state, and its field holds the number of patterns with that
+state.  In d = 1 no earlier slice has a shell cell, so every prefix is 0
+and the key is the last cell's value.
+
+Side n is planned once per run: a caller that needs its count and its
+table holds one ``Side`` and passes it to both.  The slices are listed
+once, and so is the plan when no class holds two symbols, where the
+count's plan is the table's.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -178,33 +193,12 @@ def build_slice_space(
 
 
 def _reversals(q: int, k: int) -> list[int]:
-    """Each of 0..q^k-1 with its k base-q digits in reverse order."""
+    """Each of 0..q^k-1 with its k base-q digits in reverse order: the key
+    prefix of each field of ``state_counts``."""
     table = [0]
     for _ in range(k):  # a new top digit t of the index is the entry's lowest
         table = [t + q * r for t in range(q) for r in table]
     return table
-
-
-def _first_cell_major(slices: list[int], q: int, w: int) -> tuple[list, list]:
-    """``slices`` in suffix packing (cell p at digit w-1-p), ascending, and
-    the position in ``slices`` of each."""
-    k = -(-w // 2)  # digits reversed at a time, by a table of q^k entries
-    while k > 1 and q ** k > 4096:
-        k -= 1
-    table = _reversals(q, k)
-    # the first chunk has the r <= k digits left over, the others k each;
-    # the k-digit reversal of c < q^r is its r-digit one times q^(k-r)
-    r = w - (w - 1) // k * k
-    head = list(map(floordiv, table[:q ** r], repeat(q ** (k - r))))
-    revs = map(head.__getitem__, map(mod, slices, repeat(q ** r)))
-    for i in range(r, w, k):
-        digits = map(floordiv, slices, repeat(q ** i))
-        if i + k < w:
-            digits = map(mod, digits, repeat(q ** k))
-        revs = map(add, map(mul, revs, repeat(q ** k)), map(table.__getitem__, digits))
-    revs = list(revs)
-    order = sorted(range(len(slices)), key=revs.__getitem__)
-    return list(map(revs.__getitem__, order)), order
 
 
 def _plan_product(
@@ -235,8 +229,10 @@ def _plan_product(
     product and the counts stay exact.  The budget bounds the padded size
     |P_p| * |S_p| of every phase, before any product runs.
 
-    P_0 is the empty prefix and S_0 every slice (``_first_cell_major``).
-    Prefixes are listed v-major, so P_w comes out ascending, and every S_p
+    P_0 is the empty prefix and S_0 is ``slices``, which must be
+    ascending: read in suffix packing, they are every slice, the point
+    reflection R(s) of each slice s (module docstring).  Prefixes are
+    listed v-major, so P_w comes out ascending, and every S_p
     is ascending: the suffixes that begin with a are one block of S_p
     (found by bisection), in the order of their tails x' in S_{p+1}.  So
     S_{p+1} falls into runs, maximal ranges of x' with the same set of a
@@ -248,10 +244,12 @@ def _plan_product(
     mask over P_p of the prefixes that take v (None when all do) and, per
     run, its size and the slices of S_p it sums.  A column step lists
     (mask, output size) per kept v, and per suffix of S_{p+1} a tuple, per
-    kept v, of the positions in S_p it sums.  The input is in slice order,
-    so phase 0 reads each suffix of S_0 at its position in the input: its
-    slices become index lists.  ``remap`` puts the output back in slice
-    order, with zeros, when P_w is not every slice.
+    kept v, of the positions in S_p it sums.  Phase 0 gathers by slices
+    too: position i of the input, which is in slice order, is read as the
+    entry of suffix s_i, the slice R(s_i).  So the product maps a vector u
+    to T R u, which is T u when u is R-invariant, as every vector of a
+    count is; ``state_counts`` undoes the R itself.  ``remap`` puts the
+    output back in slice order, with zeros, when P_w is not every slice.
 
     With ``quotient`` and a class of two or more symbols, phase 0 keeps
     only representatives: the product maps a vector over the canonical
@@ -261,9 +259,11 @@ def _plan_product(
     full plan, and the budget bounds that weighted count times |S_p|, the
     full plan's padded size, so refusals do not change.  The recursion
     carries each prefix's image under (rep(c) c), per non-representative
-    c, and phase 0 reads at s the position of tau s.  A slice whose image
-    is not in P_w has no neighbor, so what is read for it never reaches an
-    output; it reads position 0.  Returns (steps, switch, remap, weights),
+    c, and phase 0 reads suffix s_i at the position of tau s_i, whose
+    entry is that of R(s_i) on a vector invariant under both: its gathers
+    are index lists.  A slice whose image is not in P_w has no neighbor,
+    and neither has its reflection, so what is read for it never reaches
+    an output; it reads position 0.  Returns (steps, switch, remap, weights),
     ``weights`` the class sizes over P_w (None without a quotient), or
     None when a phase reaches nothing.
     """
@@ -281,7 +281,7 @@ def _plan_product(
         swaps = {c: [c if v == reps[c] else reps[c] if v == c else v for v in range(q)]
                  for c in range(q) if reps[c] != c}
         mirrors = dict.fromkeys(swaps, [0])
-    suffixes, order = _first_cell_major(slices, q, w)
+    suffixes = slices
     prefixes = [0]
     steps = []
     switch = w
@@ -353,29 +353,27 @@ def _plan_product(
                 )))
             steps.append(([(mask, size) for _, mask, size in kept], sources))
     if quotient:
-        # phase 0 reads each suffix of S_0 at the position in P_w of the
-        # canonical image of its slice
+        # phase 0 reads each suffix of S_0 at the position in P_w of its
+        # canonical image; with two or more slices it runs on rows
         where = dict(zip(prefixes, count()))
         cells = list(map(mod, prefixes, repeat(q)))
         for c, images in mirrors.items():
             sel = list(map(reps[c].__eq__, cells))
             where.update(zip(compress(images, sel), compress(count(), sel)))
-        order = list(map(where.get, map(slices.__getitem__, order), repeat(0)))
-    elif prefixes != slices:
-        pos = dict(zip(prefixes, count()))
-        remap = list(map(pos.get, slices, repeat(len(prefixes))))
-    # phase 0 runs on rows unless there is one slice (and ``order`` is [0])
-    if switch:
+        order = list(map(where.get, slices, repeat(0)))
         steps[0] = [
             (mask, [(size, [order[s] for s in idx]) for size, idx in parts])
             for mask, parts in steps[0]
         ]
+    elif prefixes != slices:
+        pos = dict(zip(prefixes, count()))
+        remap = list(map(pos.get, slices, repeat(len(prefixes))))
     return steps, switch, remap, weights
 
 
 def _rows_step(rows: list, step: list) -> list:
     """One prefix-major phase: per kept v and prefix, gather and add (by
-    slices, and by index lists in phase 0)."""
+    slices, and by index lists in phase 0 of a quotient)."""
     out = []
     for mask, groups in step:
         for row in rows if mask is None else compress(rows, mask):
@@ -422,41 +420,76 @@ def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
     return vec
 
 
-def _planned_side(
-    model: SftModel, n: int, state_budget: int, fields: int = 1, quotient: bool = False
-) -> tuple[list[int], tuple | None]:
-    """The slices of side n, ascending, and the plan of the product of
-    side n (None when n == 1 or when the product of any vector is 0),
-    on the canonical slices with ``quotient`` (see ``_plan_product``).
+class Side:
+    """Side n of a model, listed and planned on first use: what the count
+    and the per-state table of side n share within one run.
 
-    ``fields`` counts the keys each slice's entry holds: ``fields`` times
-    the slice count is checked against the budget before the plan is made
-    (for a count, ``fields`` is 1 and the slices already fit).
+    ``slices()`` lists the slices once (``build_slice_space``, with its
+    sub-model preflight), and ``plan(quotient)`` makes the product's plan
+    once per kind.  A count's quotient plan with no class of two or more
+    symbols is the full plan, so the table reuses it.  The caller that
+    holds a side passes it to ``count_patterns`` and ``state_counts``,
+    which check every budget of their own before any product, as on a new
+    side.
     """
-    phases = _phase_checks(model, n)
-    slices = list(build_slice_space(model, n, phases, state_budget))
-    if fields * len(slices) > state_budget:
-        raise BudgetExceededError(
-            f"more than {state_budget} boundary-state keys at side {n}"
-        )
-    if n == 1:  # no product
-        return slices, None
-    masks = model.allowed_masks[model.dimension - 1]
-    plan = _plan_product(model, n, slices, masks, phases, state_budget, quotient)
-    return slices, plan
+
+    __slots__ = ("model", "n", "state_budget", "_phases", "_slices", "_plans")
+
+    def __init__(self, model: SftModel, n: int, state_budget: int = DEFAULT_STATE_BUDGET):
+        self.model = model
+        self.n = n
+        self.state_budget = state_budget
+        self._slices = None
+        self._plans = {}
+
+    def slices(self) -> list[int]:
+        """The slices of side n, ascending."""
+        if self._slices is None:
+            self._phases = _phase_checks(self.model, self.n)
+            space = build_slice_space(self.model, self.n, self._phases, self.state_budget)
+            self._slices = list(space)
+        return self._slices
+
+    def plan(self, quotient: bool):
+        """The plan of side n's product, n >= 2 (None when the product of
+        any vector is 0), on the canonical slices with ``quotient`` (see
+        ``_plan_product``)."""
+        if quotient not in self._plans:
+            model = self.model
+            slices = self.slices()
+            masks = model.allowed_masks[model.dimension - 1]
+            plan = _plan_product(model, self.n, slices, masks, self._phases,
+                                 self.state_budget, quotient)
+            self._plans[quotient] = plan
+            if plan is not None and plan[3] is None:  # no quotient was taken
+                self._plans[False] = plan
+        return self._plans[quotient]
+
+
+def _side(model: SftModel, n: int, state_budget: int, side: Side | None) -> Side:
+    """``side``, which must be of this model, side and budget, or a new one."""
+    if side is None:
+        return Side(model, n, state_budget)
+    if (side.model, side.n, side.state_budget) != (model, n, state_budget):
+        raise ValueError(f"the side given is not side {n} of this model and budget")
+    return side
 
 
 def count_via_transfer(
     model: SftModel,
     n: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
+    side: Side | None = None,
 ) -> int:
-    """Exact cube count via the slice decomposition, on canonical slices."""
+    """Exact cube count via the slice decomposition, on canonical slices;
+    on ``side`` when given (see ``Side``)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    slices, plan = _planned_side(model, n, state_budget, quotient=True)
+    side = _side(model, n, state_budget, side)
+    slices = side.slices()
     if n == 1:
         return len(slices)
+    plan = side.plan(quotient=True)
     if plan is None:  # the product of any vector is 0
         return 0
     weights = plan[3]
@@ -473,6 +506,7 @@ def state_counts(
     model: SftModel,
     n: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
+    side: Side | None = None,
 ) -> dict[tuple[int, int], int]:
     """Exact pattern count per realized boundary state; values sum to C_n.
 
@@ -481,7 +515,8 @@ def state_counts(
     of that slice's h shell cells in ascending cell order, as one base-q
     integer (slice 0 most significant).  The keys are one-to-one with the
     realized states; the caller that only needs the values never decodes
-    them.
+    them.  With ``side``, the slices and the full plan come from it (see
+    ``Side``).
 
     The walk runs the planned product n-1 times on one vector whose entry
     for slice s packs a count per shell prefix in W-bit fields, with slice
@@ -498,12 +533,23 @@ def state_counts(
     prefixes x suffixes entries (at most the budget, by the plan's own
     check), each of up to Q^(n-1) fields.
 
+    The plan computes T R, not T, with R the point reflection of a slice
+    (``_plan_product``), and R commutes with T.  Write x_k for the vector
+    before step k of the walk above, so x_{k+1} = T D_k x_k with D_k the
+    shift by code(s); and D'_k = R D_k R for the shift by code(R(s)),
+    where cell j of R(s) is cell w-1-j of s.  Step k runs T R D'_k when
+    n-1-k is odd and T R D_k when it is even.  Then the vector before step
+    k is R^(n-1-k) x_k: at k = 0 because R 1 = 1, and from k to k+1
+    because T R D'_k R x_k = T D_k x_k and T R D_k x_k = R T D_k x_k.  So
+    the R's cancel in pairs, and after n-1 steps the vector is x_{n-1}.
+
     No field carries into the next.  With m slices, after k products a
     field holds the number of walks s_0..s_k that end in its slice (and
     pass its prefix's shell digits), at most m^k.  Within a product, an
     entry of phase p sums the entries of distinct previous slices (those
     sharing the suffix of cells p..w-1), so it is at most m * m^k.  With
-    k <= n-2 every entry, final or intermediate, is at most m^(n-1), and
+    k <= n-2 every entry, final or intermediate, is at most m^(n-1) (R
+    only permutes the entries), and
     m^(n-1) < 2^((n-1) * b) with b = m.bit_length().  W is (n-1) * b
     rounded up to whole 64-bit words, for the unpacking.
     """
@@ -511,23 +557,34 @@ def state_counts(
         raise ValueError(f"need n >= 1, got {n}")
     d = model.dimension
     q = model.num_symbols
-    # q^p for each slice cell p on the shell, ascending
-    shell = [q ** p for p in surface_indices(n, d - 1)]
+    shell = surface_indices(n, d - 1)
     block = q ** len(shell)
-    slices, plan = _planned_side(model, n, state_budget, block ** (n - 1))
+    side = _side(model, n, state_budget, side)
+    slices = side.slices()
+    if block ** (n - 1) * len(slices) > state_budget:
+        raise BudgetExceededError(
+            f"more than {state_budget} boundary-state keys at side {n}"
+        )
     if n == 1:
         return dict.fromkeys(zip(repeat(0), slices), 1)
+    plan = side.plan(quotient=False)
     if plan is None:  # the product of any vector is 0
         return {}
-    codes = [0] * len(slices)
-    for div in shell:
-        digits = map(mod, map(floordiv, slices, repeat(div)), repeat(q))
-        codes = list(map(add, map(mul, codes, repeat(q)), digits))
+    # code(s) and code(R(s)): the digits of s at the shell cells p, and at
+    # their reflections w-1-p, ascending in p
+    w = n ** (d - 1)
+    codes = []
+    for cells in (shell, [w - 1 - p for p in shell]):
+        code = [0] * len(slices)
+        for p in cells:
+            digits = map(mod, map(floordiv, slices, repeat(q ** p)), repeat(q))
+            code = list(map(add, map(mul, code, repeat(q)), digits))
+        codes.append(code)
     # W: (n-1) * b bits, rounded up to whole 64-bit words
     width = -(-(n - 1) * len(slices).bit_length() // 64) * 64
     vec = [1] * len(slices)
     for k in range(n - 1):
-        shifts = map(mul, codes, repeat(block ** k * width))
+        shifts = map(mul, codes[(n - 1 - k) % 2], repeat(block ** k * width))
         vec = _apply_plan(plan, list(map(lshift, vec, shifts)))
     # the key prefix g of field f lists the same n-1 codes, slice 0 first:
     # the base-Q digits of f reversed
@@ -562,6 +619,8 @@ def count_patterns(
     model: SftModel,
     n: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
+    side: Side | None = None,
 ) -> int:
-    """Exact C_n by the slice transfer, in every dimension."""
-    return count_via_transfer(model, n, state_budget)
+    """Exact C_n by the slice transfer, in every dimension; on ``side``
+    when given (see ``Side``)."""
+    return count_via_transfer(model, n, state_budget, side)

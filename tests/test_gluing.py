@@ -292,8 +292,8 @@ def test_key_inequality_table_must_sum_to_the_count(monkeypatch, hard_square2):
 
     real = gluing.state_counts
 
-    def short(model, n):
-        table = real(model, n)
+    def short(model, n, **shared):
+        table = real(model, n, **shared)
         table.popitem()
         return table
 

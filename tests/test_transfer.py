@@ -1,6 +1,9 @@
+import io
 import itertools
 import json
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 
 import pytest
@@ -11,6 +14,7 @@ from sftbounds import (
     BudgetExceededError,
     SftModel,
     SurfaceState,
+    build_report,
     builtin_model,
     count_patterns,
     count_via_transfer,
@@ -21,10 +25,10 @@ from sftbounds.models import drop_last_axis
 from sftbounds.patterns import decode, surface_indices
 from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
+    Side,
     _apply_plan,
     _phase_checks,
     _plan_product,
-    _planned_side,
     build_slice_space,
     state_counts,
 )
@@ -54,6 +58,12 @@ def enumerated_slices(model, n):
 def pack(values, q):
     """A slice as the transfer's packed key: cell p is base-q digit p."""
     return sum(v * q ** p for p, v in enumerate(values))
+
+
+def reflect(key, q, w):
+    """The point reflection of a packed slice of w cells: cell j to w-1-j."""
+    digits = [key // q ** j % q for j in range(w)]
+    return pack(digits[::-1], q)
 
 
 @dataclass(frozen=True)
@@ -202,6 +212,83 @@ def test_slice_budget_refused_before_any_product(
         count_via_transfer(hard_square3, 3, state_budget=62)
     # only the sub-model counts, in d = 2 and below it d = 1, ran products
     assert set(planned) == set(applied) == {1, 2}
+
+
+def spy_on_sides(monkeypatch):
+    """Count, per (dimension, side), the slice lists made, and per
+    (dimension, side, kind) the plans made, kind "quotient" or "full"."""
+    import sftbounds.transfer as transfer_mod
+
+    real_plan, real_space = transfer_mod._plan_product, transfer_mod.build_slice_space
+    spaces, plans = Counter(), Counter()
+
+    def space_spy(model, n, *args):
+        spaces[model.dimension, n] += 1
+        return real_space(model, n, *args)
+
+    def plan_spy(model, n, *args):
+        plan = real_plan(model, n, *args)
+        kind = "full" if plan is None or plan[3] is None else "quotient"
+        plans[model.dimension, n, kind] += 1
+        return plan
+
+    monkeypatch.setattr(transfer_mod, "build_slice_space", space_spy)
+    monkeypatch.setattr(transfer_mod, "_plan_product", plan_spy)
+    return spaces, plans
+
+
+def test_report_plans_each_side_once(monkeypatch, hard_square2, coloring3_d2):
+    spaces, plans = spy_on_sides(monkeypatch)
+    build_report(hard_square2, 8)
+    # sides 1..9 are counted and sides 1..5 tabled: the table's plan is
+    # the count's (hard-square has no class of two symbols)
+    assert {n: c for (d, n), c in spaces.items() if d == 2} == dict.fromkeys(range(1, 10), 1)
+    assert {(n, kind): c for (d, n, kind), c in plans.items() if d == 2} == {
+        (n, "full"): 1 for n in range(2, 10)
+    }
+    # nothing is kept across calls: a second report plans as much again
+    first = (Counter(spaces), Counter(plans))
+    spaces.clear()
+    plans.clear()
+    build_report(hard_square2, 8)
+    assert (spaces, plans) == first
+    # coloring:3: one slice list per side, the count's quotient plan, and
+    # one full plan per tabled side (sides 1..7 counted, 1..4 tabled)
+    spaces.clear()
+    plans.clear()
+    build_report(coloring3_d2, 6)
+    assert {n: c for (d, n), c in spaces.items() if d == 2} == dict.fromkeys(range(1, 8), 1)
+    assert {(n, kind): c for (d, n, kind), c in plans.items() if d == 2} == {
+        **{(n, "quotient"): 1 for n in range(2, 8)},
+        **{(n, "full"): 1 for n in range(2, 5)},
+    }
+
+
+def test_verify_shares_side_n(monkeypatch):
+    from sftbounds.cli import main
+
+    spaces, plans = spy_on_sides(monkeypatch)
+    for model, kinds in (("hard-square", ["full"]), ("coloring:3", ["full", "quotient"])):
+        spaces.clear()
+        plans.clear()
+        argv = ["--builtin", model, "--dim", "2", "verify", "--n", "3", "--samples", "2"]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        # C_5 on side 5; C_3 and the table on one side 3
+        assert {n: c for (d, n), c in spaces.items() if d == 2} == {3: 1, 5: 1}
+        assert sorted(kind for (d, n, kind) in plans if (d, n) == (2, 3)) == kinds
+        assert set(plans.values()) == {1}
+
+
+def test_side_is_checked_against_its_use(hard_square2, coloring3_d2):
+    side = Side(hard_square2, 4)
+    assert count_patterns(hard_square2, 4, side=side) == 1234
+    assert sum(state_counts(hard_square2, 4, side=side).values()) == 1234
+    for args in ((coloring3_d2, 4), (hard_square2, 5), (hard_square2, 4, 10 ** 6)):
+        with pytest.raises(ValueError, match="not side"):
+            count_patterns(*args, side=side)
+        with pytest.raises(ValueError, match="not side"):
+            state_counts(*args, side=side)
 
 
 def test_slice_space_matches_dict_walk(hard_square2, hard_square3, coloring3_d2):
@@ -385,11 +472,33 @@ def symmetric_models_d3(draw):
     return SftModel(3, alphabet, tuple(forbidden)), n
 
 
+def assert_slices_reflect(model, n):
+    """Every side's slice list is closed under the point reflection R."""
+    q = model.num_symbols
+    for side in range(1, n + 1):
+        slices = set(slice_vector(model, side))
+        w = side ** (model.dimension - 1)
+        assert {reflect(s, q, w) for s in slices} == slices, (model, side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models_d2(), st.integers(1, 4))
+def test_slices_are_their_reflections_random(model, n):
+    assert_slices_reflect(model, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_models_d3())
+def test_slices_are_their_reflections_random_d3(case):
+    assert_slices_reflect(*case)
+
+
 class PlannedProduct:
     """The planned product of one side, on dicts keyed by slice (the full
     plan, unless ``quotient``)."""
 
     def __init__(self, model, n, quotient=False):
+        self.q, self.w = model.num_symbols, n ** (model.dimension - 1)
         self.slices = sorted(slice_vector(model, n))
         self.plan = _plan_product(
             model,
@@ -402,10 +511,12 @@ class PlannedProduct:
         )
 
     def __call__(self, dist):
+        """T dist: the plan computes T R, so it is fed R dist."""
         assert set(dist) <= set(self.slices)
         if self.plan is None:
             return {}
-        out = _apply_plan(self.plan, [dist.get(k, 0) for k in self.slices])
+        vec = [dist.get(reflect(k, self.q, self.w), 0) for k in self.slices]
+        out = _apply_plan(self.plan, vec)
         assert len(out) == len(self.slices)
         return {k: c for k, c in zip(self.slices, out) if c}
 
@@ -525,6 +636,11 @@ def test_planned_product_gathers_runs_by_slices(hard_square2, coloring3_d2):
         for quotient in (False, True):
             plan = PlannedProduct(model, n, quotient).plan
             assert phase_runs(plan) == [per_phase] * (n - 2) + [1], (model, n)
+            if plan[3] is None:
+                # the full plan reads the input as S_0 itself: phase 0
+                # gathers by slices too
+                gathers = [s for _, groups in plan[0][0] for _, idx in groups for s in idx]
+                assert gathers and all(isinstance(s, slice) for s in gathers), (model, n)
 
 
 def isolated_symbol_model(d, axis):
@@ -641,7 +757,7 @@ def assert_quotient_matches(model, n, expected=None):
 def refusal(model, n, budget, quotient):
     """The budget error of planning side n, or None."""
     try:
-        _planned_side(model, n, budget, quotient=quotient)
+        Side(model, n, budget).plan(quotient)
     except BudgetExceededError as err:
         return str(err)
     return None
