@@ -32,13 +32,22 @@ from .transfer import BudgetExceededError, Side, count_patterns
 from .gluing import verify_key_inequality
 
 
-def _q_scaled(d: int, n: int) -> tuple[int, int]:
-    """q_d(n) as (numerator, L) over the common denominator L = lcm(2^d - 2^k)."""
+def _q_scaled(d: int) -> tuple[list[int], int]:
+    """L q_d as integer coefficients, highest power first, and q_d's common
+    denominator L = lcm(2^d - 2^k)."""
     # (2^d - 1) sum_k C(d, k) n^k / (2^d - 2^k)
     dens = [2 ** d - 2 ** k for k in range(d)]
     lcm = math.lcm(*dens)
-    num = sum(math.comb(d, k) * n ** k * (lcm // den) for k, den in enumerate(dens))
-    return (2 ** d - 1) * num, lcm
+    coefs = [(2 ** d - 1) * math.comb(d, k) * (lcm // dens[k]) for k in range(d)]
+    return coefs[::-1], lcm
+
+
+def _horner(coefs: list[int], n: int) -> int:
+    """The polynomial with ``coefs``, highest power first, at n."""
+    value = 0
+    for c in coefs:
+        value = value * n + c
+    return value
 
 
 def q_poly(d: int, n: int) -> Fraction:
@@ -47,7 +56,8 @@ def q_poly(d: int, n: int) -> Fraction:
         raise ValueError(f"need d >= 1, got {d}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return Fraction(*_q_scaled(d, n))
+    coefs, lcm = _q_scaled(d)
+    return Fraction(_horner(coefs, n), lcm)
 
 
 def _power_mean_exponent(d: int, n: int) -> int:
@@ -58,13 +68,14 @@ def _power_mean_exponent(d: int, n: int) -> int:
 def verify_qd_recurrence(d: int, n: int) -> bool:
     """Exact check of q_d(2n) + (2^d-1)((n+1)^d - n^d) = 2^d q_d(n).
 
-    Both sides are compared as integers, scaled by q_d's denominator L.
+    Both sides are compared as integers, scaled by q_d's denominator L,
+    with q_d at 2n and at n evaluated on one list of coefficients.
     """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    lhs, lcm = _q_scaled(d, 2 * n)
-    rhs, _ = _q_scaled(d, n)
-    return lhs + _power_mean_exponent(d, n) * lcm == 2 ** d * rhs
+    coefs, lcm = _q_scaled(d)
+    lhs = _horner(coefs, 2 * n) + _power_mean_exponent(d, n) * lcm
+    return lhs == 2 ** d * _horner(coefs, n)
 
 
 def log_count(c: int) -> float:

@@ -15,34 +15,29 @@ interesting sizes).  Instead each vector-through-relation product is
 applied one slice cell at a time.  Before phase p a live state is a pair
 (y, x): y the next slice's cells 0..p-1, x the previous slice's cells
 p..w-1.  The within-slice test on the new cell reads only y and the
-last-axis test only the first digit of x, so the phase's vector is held
-as a matrix over prefixes x suffixes, as Python lists, and the phase maps
-rows (or columns) to rows (or columns) by C-level gathers and adds, one
-per row and symbol rather than one per state (``_apply_plan``).  Every
-product of a side shares one structure, so it is planned once per side
-(``_plan_product``), at about (prefixes + suffixes) * q per phase against
-prefixes * suffixes for a product.  A suffix is packed with its first
-cell most significant and each phase's suffixes are kept sorted, so
-those that begin with a symbol a are one block, listed in the order of
-the next phase's suffixes.  Those fall into a few runs (2 per phase on
-hard-square d=2, 3 on coloring:3), and what a run reads from a block is
-one range: each row gather is a list slice.
+last-axis test only the first digit of x, so the phase's vector is a
+matrix over prefixes x suffixes, as Python lists, and the phase maps rows
+(or columns) to rows (or columns) by C-level gathers and adds, one per
+row and symbol rather than one per state (``_apply_plan``).  Every
+product of a side shares one plan (``_plan_product``).
 
-The suffixes of phase 0 need no repacking.  Let R be the point
-reflection of a slice, which sends cell j to cell w-1-j.  It maps a pair
-of neighbors along a slice axis to the same pair in reverse order, and
-every forbidden set is symmetric, so R maps slices to slices; it maps
-compatible pairs to compatible pairs, so RT = TR, and R1 = 1.  The
-suffix packing of a slice is the prefix packing of its reflection, so the
-suffixes of phase 0 are the ascending slice list itself, position i
-standing for the slice R(s_i).  A product so planned computes T R, which
-is T on every R-invariant vector, and every T^k 1 is one.
-
-The slices are the prefixes of full length, so the all-ones slice vector
-comes from the same prefix recursion as the plan (``_extend_prefixes``),
-with no last-axis constraint.  For d >= 2 its size is the sub-model's
-C_n, which is counted (by this same transfer, one dimension down) and
-checked against the state budget before any phase runs.
+The plan reads its lists off the slice listing.  The slices are the
+prefixes of full length, listed level by level by one prefix recursion
+(``_extend_prefixes``): level k holds the within-slice-admissible
+prefixes of k cells, ascending, grouped by cell k-1.  A phase's prefixes
+are a selection of a level, and so are its suffixes, by the point
+reflection R of a slice (cell j to cell w-1-j).  R maps a pair of
+neighbors along a slice axis to the same pair reversed, and every
+forbidden set is symmetric, so R maps slices to slices and compatible
+pairs to compatible pairs: RT = TR, and R1 = 1.  A suffix packed with
+its first cell most significant is the prefix packing of its reflection,
+so the suffixes of phase p that begin with a are a group of level w-p,
+whose mask places their tails in level w-p-1 in a few ranges, each
+gathered as one list slice.  Position i of the input stands for R(s_i),
+so a product computes T R, which is T on every R-invariant vector, as
+every T^k 1 is.  For d >= 2 the slice count, the sub-model's C_n (by
+this same transfer, one dimension down), is checked against the budget
+before the listing, unless the q^w fillings of a slice of w cells fit it.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <T^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``, since
@@ -60,12 +55,10 @@ and compatible pairs to compatible pairs, so it commutes with T and fixes
 cell 0 is a representative, and tau = (rep(c) c) maps the slices with
 cell 0 = c one-to-one onto those with cell 0 = rep(c) without changing
 v * u, with v and u the two halves of the walk; so
-``C_n = sum over canonical t of |class(t_0)| * v(t) * u(t)``.  A product
-needs its output only on the canonical slices, and reads the input at s
-from the canonical slice tau s.  For coloring:q one class holds every
-symbol, so the product does one q-th of its work; hard-square has no
-class of two symbols and runs the full product, as ``state_counts``
-always does (its packed fields are not invariant).
+``C_n = sum over canonical t of |class(t_0)| * v(t) * u(t)``, and a
+product reads the input at s from tau s.  For coloring:q this is a q-th
+of the work; hard-square has no class of two symbols and runs the full
+product, as ``state_counts`` always does (its fields are not invariant).
 
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
@@ -81,18 +74,17 @@ boundary state, and its field holds the number of patterns with that
 state.  In d = 1 no earlier slice has a shell cell, so every prefix is 0
 and the key is the last cell's value.
 
-Side n is planned once per run: a caller that needs its count and its
-table holds one ``Side`` and passes it to both.  The slices are listed
-once, and so is the plan when no class holds two symbols, where the
-count's plan is the table's.  Nothing is kept between calls.
+A caller that needs side n's count and table holds one ``Side`` and
+passes it to both; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import re
 import sys
-from bisect import bisect_left
+from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, floordiv, lshift, mod, mul, sub
+from operator import add, and_, floordiv, lshift, mod, mul, or_
 
 from .models import SftModel, drop_last_axis
 from .patterns import decode, surface_indices
@@ -127,13 +119,13 @@ def _phase_checks(model: SftModel, n: int):
 
 
 def _extend_prefixes(
-    prefixes: list[int], checks: tuple, p: int, q: int, values
+    prefixes: list[int], checks: tuple, p: int, q: int
 ) -> tuple[list, list[int]]:
     """One step of the prefix recursion: the next slice's cell p.
 
     ``prefixes`` pack cells 0..p-1 (cell j at digit j) and ``checks`` is
-    ``_phase_checks``'s entry for cell p.  Lists (v, mask, size) for each v
-    of ``values`` that some prefix takes, with ``mask`` the 0/1 list over
+    ``_phase_checks``'s entry for cell p.  Lists (v, mask, size) for each
+    symbol v that some prefix takes, with ``mask`` the 0/1 bytes over
     ``prefixes`` of those that take v (None when all do), and returns it
     with the extended prefixes, v-major: ascending when ``prefixes`` are.
     """
@@ -143,21 +135,20 @@ def _extend_prefixes(
         ys = map(floordiv, prefixes, repeat(div))
         held.append((list(map(mod, ys, repeat(q))), wmasks))
     kept = []
-    for v in values:
+    for v in range(q):
         mask = None
         for digits, wmasks in held:
             ok = [m >> v & 1 for m in wmasks]
             if not all(ok):
                 sel = map(ok.__getitem__, digits)
-                mask = list(sel if mask is None else map(and_, mask, sel))
-        size = len(prefixes) if mask is None else sum(mask)
+                mask = bytes(sel if mask is None else map(and_, mask, sel))
+        size = len(prefixes) if mask is None else mask.count(1)
         if size:
             kept.append((v, mask, size))
-    top = q ** p
     new = []
     for v, mask, _ in kept:
         ys = prefixes if mask is None else compress(prefixes, mask)
-        new.extend(map(add, ys, repeat(v * top)))
+        new.extend(map(add, ys, repeat(v * q ** p)))
     return kept, new
 
 
@@ -166,25 +157,29 @@ def build_slice_space(
     n: int,
     phases: list,
     state_budget: int = DEFAULT_STATE_BUDGET,
+    steps: list | None = None,
 ) -> dict[int, int]:
     """The all-ones vector over the admissible (d-1)-cube slices of side n.
 
-    The slices are the prefixes of the full slice length, listed by the
-    prefix recursion the plan of a product uses (``_extend_prefixes``), so
-    the keys come out ascending.  Each phase's prefixes are checked against
-    ``state_budget``.  For d >= 2 the slice count is the sub-model's C_n,
-    checked against the budget before any phase runs; in d = 1 the slices
-    are the q symbols.
+    The slices are the prefixes of full length, listed ascending by the
+    prefix recursion (``_extend_prefixes``), whose steps' (v, mask, size)
+    lists are appended to ``steps`` when given.  Each level is checked
+    against ``state_budget``, and for d >= 2 the slice count (the
+    sub-model's C_n) first, unless the q^w fillings of a slice fit the
+    budget, when no level can exceed it.
     """
+    q = model.num_symbols
     if (
         model.dimension > 1
+        and q ** len(phases) > state_budget
         and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
     ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
-    q = model.num_symbols
     prefixes = [0]
     for p, checks in enumerate(phases):
-        _, prefixes = _extend_prefixes(prefixes, checks, p, q, range(q))
+        kept, prefixes = _extend_prefixes(prefixes, checks, p, q)
+        if steps is not None:
+            steps.append(kept)
         if len(prefixes) > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
@@ -205,71 +200,55 @@ def _plan_product(
     model: SftModel,
     n: int,
     slices: list[int],
-    last_masks: tuple[int, ...],
-    phases: list,
+    steps: list,
     state_budget: int,
     quotient: bool = False,
 ):
     """One vector-through-relation product as a walk over prefix x suffix
-    matrices, factored over the slice cells.
+    matrices, factored over the slice cells, read off the slice listing.
 
-    Before phase p a live state is a pair (y, x): y is the next slice's
-    cells 0..p-1 (prefix, cell j at digit j) and x the previous slice's
-    cells p..w-1 (suffix, cell j at digit w-1-j, the first cell most
-    significant).  ``last_masks[a]`` is the set of values the next slice
-    may hold where the previous one holds a; ``phases`` is
-    ``_phase_checks(model, n)``.  The phase maps (y, a x') to
-    (y + v*q^p, x'): the within-slice test on v reads only y and the
-    last-axis test only a.  So the vector of phase p is a matrix over
-    P_p x S_p, the prefixes and suffixes some slice reaches: y + v*q^p is
-    kept when v passes the within-slice test at y and some a that allows v
-    begins a suffix (``_extend_prefixes``), and x' when a x' is a suffix
-    for an a that a kept v reads.  A pair of P_p x S_p that is not a live
-    state (a padded pair) is reached from no slice, so it holds 0 in every
-    product and the counts stay exact.  The budget bounds the padded size
-    |P_p| * |S_p| of every phase, before any product runs.
+    Phase p maps (y, a x') to (y + v*q^p, x'), y a prefix of cells
+    0..p-1 (cell j at digit j) and a x' a suffix of cells p..w-1 (cell j
+    at digit w-1-j), so its vector is a matrix over P_p x S_p, the
+    prefixes and suffixes some slice reaches; a pair that is not a live
+    state holds 0 in every product.  The budget bounds |P_p| * |S_p| for
+    every phase, before any product runs.
 
-    P_0 is the empty prefix and S_0 is ``slices``, which must be
-    ascending: read in suffix packing, they are every slice, the point
-    reflection R(s) of each slice s (module docstring).  Prefixes are
-    listed v-major, so P_w comes out ascending, and every S_p
-    is ascending: the suffixes that begin with a are one block of S_p
-    (found by bisection), in the order of their tails x' in S_{p+1}.  So
-    S_{p+1} falls into runs, maximal ranges of x' with the same set of a
-    for which a x' is in S_p, and a run reads one range of each a's
-    block.  Steps before ``switch`` run on rows over suffixes (one per
-    prefix), the rest on columns over prefixes (one per suffix); the
-    layout turns once, at the first phase where |P_p| >= |S_p|, so the
-    inner lists stay the long side.  A row step lists, per kept v, the 0/1
-    mask over P_p of the prefixes that take v (None when all do) and, per
-    run, its size and the slices of S_p it sums.  A column step lists
-    (mask, output size) per kept v, and per suffix of S_{p+1} a tuple, per
-    kept v, of the positions in S_p it sums.  Phase 0 gathers by slices
-    too: position i of the input, which is in slice order, is read as the
-    entry of suffix s_i, the slice R(s_i).  So the product maps a vector u
-    to T R u, which is T u when u is R-invariant, as every vector of a
-    count is; ``state_counts`` undoes the R itself.  ``remap`` puts the
-    output back in slice order, with zeros, when P_w is not every slice.
+    ``slices`` and ``steps`` are ``build_slice_space``'s listing: step k
+    lists (v, mask, size) for the group of level L_{k+1} with v at cell k.
+    P_p is a selection of L_p, with step p's masks restricted to it.  S_0
+    is ``slices`` (every R(s), module docstring) and S_p a selection of
+    L_{w-p}: its block a, the suffixes that begin with a, is the selected
+    part of group a of step w-1-p, whose mask places their tails in
+    L_{w-1-p}.  A run of S_{p+1}, a maximal range with the same set of a
+    for which a x' is in S_p, reads one range of each such block.  Every
+    selection is None (all of its level) on hard-square and coloring;
+    dead-end prefixes, unread blocks and the quotient make the others.
 
-    With ``quotient`` and a class of two or more symbols, phase 0 keeps
-    only representatives: the product maps a vector over the canonical
-    slices P_w, in P_w order, to one in the same order (module docstring).
-    The suffixes are those read by a kept v or a class-mate, so each S_p
-    is the full plan's; a prefix y stands for |class(y_0)| prefixes of the
-    full plan, and the budget bounds that weighted count times |S_p|, the
-    full plan's padded size, so refusals do not change.  The recursion
-    carries each prefix's image under (rep(c) c), per non-representative
-    c, and phase 0 reads suffix s_i at the position of tau s_i, whose
-    entry is that of R(s_i) on a vector invariant under both: its gathers
-    are index lists.  A slice whose image is not in P_w has no neighbor,
-    and neither has its reflection, so what is read for it never reaches
-    an output; it reads position 0.  Returns (steps, switch, remap, weights),
+    Steps run on rows over suffixes before ``switch``, the first phase
+    where |P_p| >= |S_p|, and on columns over prefixes from there.  A row
+    step lists, per kept v, its mask over P_p (None: all) and, per run,
+    its size and the slices of S_p it sums; a column step, (mask, output
+    size) per kept v and, per suffix of S_{p+1}, the positions in S_p it
+    sums per kept v.  Input position i is read as suffix s_i, the slice
+    R(s_i): the product maps u to T R u.  ``remap`` puts the output back
+    in slice order, with zeros, when P_w is not every slice.
+
+    With ``quotient`` and a class of two or more symbols, P_1 holds only
+    representatives, and the product maps a vector over the canonical
+    slices P_w to one over them (module docstring).  S_p stays the full
+    plan's (a kept v reads for its class-mates too), and the budget
+    weighs a prefix y by |class(y_0)|, so refusals do not change.  Phase 0
+    reads suffix s_i at the position of its canonical image, by index
+    lists; a slice with no image in P_w has no neighbor and reads position
+    0, which reaches no output.  Returns (steps, switch, remap, weights),
     ``weights`` the class sizes over P_w (None without a quotient), or
     None when a phase reaches nothing.
     """
     q = model.num_symbols
-    w = len(phases)
-    reads = [[a for a in range(q) if last_masks[a] >> v & 1] for v in range(q)]
+    w = len(steps)
+    last = model.allowed_masks[-1]
+    reads = [[a for a in range(q) if last[a] >> v & 1] for v in range(q)]
     reps = model.symbol_classes
     quotient = quotient and len(slices) > 1 and reps != tuple(range(q))
     mates = reads
@@ -281,42 +260,76 @@ def _plan_product(
         swaps = {c: [c if v == reps[c] else reps[c] if v == c else v for v in range(q)]
                  for c in range(q) if reps[c] != c}
         mirrors = dict.fromkeys(swaps, [0])
-    suffixes = slices
-    prefixes = [0]
-    steps = []
-    switch = w
-    remap = weights = None
-    for p, checks in enumerate(phases):
-        if switch == w and len(prefixes) >= len(suffixes):
+    levels = [1, *(sum(size for _, _, size in step) for step in steps)]
+    psel = ssel = None  # P_p in L_p and S_p in L_{w-p}, 0/1 bytes; None: all
+    n_pre, n_suf = 1, len(slices)
+    plan, switch, remap, weights = [], w, None, None
+    for p in range(w):
+        if switch == w and n_pre >= n_suf:
             switch = p
-        # a's block of the suffixes is lo[a]..lo[a+1]-1
-        top = q ** (w - 1 - p)
-        lo = [*map(bisect_left, repeat(suffixes), range(0, q * top, top)), len(suffixes)]
-        readable = [v for v in range(q) if any(lo[a] < lo[a + 1] for a in reads[v])]
+        # block a of S_p is the selected part of group a of step w-1-p,
+        # from position lo[a] of S_p; its tails, as a 0/1 mask over L_{w-1-p}
+        lo, tails, start, at = {}, {}, 0, 0
+        for a, mask, size in steps[w - 1 - p]:
+            seg = None if ssel is None else ssel[at:at + size]
+            lo[a], at = start, at + size
+            if seg is None or 1 in seg:
+                start += size if seg is None else seg.count(1)
+                it = iter(seg or ())
+                tails[a] = seg if mask is None else mask if seg is None else bytes(
+                    b and next(it) for b in mask)
+        readable = [v for v in range(q) if any(a in tails for a in reads[v])]
         if quotient and p == 0:
             readable = [v for v in readable if reps[v] == v]
-        kept, new = _extend_prefixes(prefixes, checks, p, q, readable)
+        # step p on P_p: each v's mask and size, and P_{p+1} in L_{p+1}
+        kept, parts = [], []
+        for v, mask, full in steps[p]:
+            if psel is None or mask is None:
+                part = b"\1" * full if psel is None else psel
+            else:
+                part, mask = bytes(compress(psel, mask)), bytes(compress(mask, psel))
+            if v in readable and 1 in part:
+                kept.append((v, mask, part.count(1)))
+            else:
+                part = bytes(full)
+            parts.append(part)
         if not kept:
             return None
-        # the tails of the blocks some kept v or a class-mate reads
-        firsts = sorted({a for v, _, _ in kept for a in mates[v] if lo[a] < lo[a + 1]})
-        tails = [list(map(sub, suffixes[lo[a]:lo[a + 1]], repeat(a * top))) for a in firsts]
-        suffixes = tails[0] if len(tails) == 1 else [*dict.fromkeys(sorted(chain(*tails)))]
-        # where each tail matches a range of the new suffixes, the offset
-        # from there to a's block; the runs start and stop at those ranges
+        if psel is not None or len(kept) < len(parts):
+            psel = b"".join(parts)
+        n_pre = padded = sum(size for _, _, size in kept)
+        if quotient:
+            for c, swap in swaps.items():
+                images = []  # extended as the prefixes are
+                for v, mask, _ in kept:
+                    ys = mirrors[c] if mask is None else compress(mirrors[c], mask)
+                    images.extend(map(add, ys, repeat(swap[v] * q ** p)))
+                mirrors[c] = images
+            weights = [sizes[v] for v, _, _ in kept] if p == 0 else [
+                *chain.from_iterable(weights if mask is None else compress(weights, mask)
+                                     for _, mask, _ in kept)]
+            padded = sum(weights)
+        # S_{p+1}: the union of the tails of the blocks some kept v or a
+        # class-mate reads
+        firsts = sorted({a for v, _, _ in kept for a in mates[v] if a in tails})
+        union = [tails[a] for a in firsts]
+        if ssel is not None or None not in union:
+            ssel = reduce(or_, (int.from_bytes(t, "big") for t in union))
+            ssel = ssel.to_bytes(levels[w - 1 - p], "big")
+            ssel = ssel if 0 in ssel else None
+        n_suf = levels[w - 1 - p] if ssel is None else ssel.count(1)
+        # where each tail covers a range of S_{p+1} (a range of ones of its
+        # mask), the offset from there to a's block; runs cut at those ends
         marks = {}
-        for a, tail in zip(firsts, tails):
-            i = j = 0
-            while j < len(tail):
-                i = bisect_left(suffixes, tail[j], i)
-                k = min(len(tail) - j, len(suffixes) - i)
-                # a tail is a sorted subset: if the k-th pair matches, all do
-                if tail[j + k - 1] != suffixes[i + k - 1]:
-                    k = bisect_left(range(k), True,
-                                    key=lambda m: tail[j + m] != suffixes[i + m])
-                marks.setdefault(i, {})[a] = lo[a] + j - i
-                marks.setdefault(i + k, {})[a] = None
-                i, j = i + k, j + k
+        for a in firsts:
+            tail = tails[a] if ssel is None else bytes(compress(tails[a], ssel))
+            j = lo[a]
+            ranges = [(0, n_suf)] if tail is None else map(
+                re.Match.span, re.finditer(rb"\x01+", tail))
+            for i, stop in ranges:
+                marks.setdefault(i, {})[a] = j - i
+                marks.setdefault(stop, {})[a] = None
+                j += stop - i
         # per kept v and run: its size and the ranges of S_p it sums
         span = slice if p < switch else range
         by_v = [[] for _ in kept]
@@ -324,34 +337,24 @@ def _plan_product(
         offsets = {}
         for i, end in zip(cuts, cuts[1:]):
             offsets.update(marks[i])
-            for (v, _, _), parts in zip(kept, by_v):
-                parts.append((end - i, [span(i + offsets[a], end + offsets[a])
-                                        for a in reads[v] if offsets.get(a) is not None]))
-        prefixes = new
-        padded = len(prefixes)
-        if quotient:
-            for c, swap in swaps.items():
-                images = []  # extended as _extend_prefixes extends the prefixes
-                for v, mask, _ in kept:
-                    ys = mirrors[c] if mask is None else compress(mirrors[c], mask)
-                    images.extend(map(add, ys, repeat(swap[v] * q ** p)))
-                mirrors[c] = images
-            weights = list(map(sizes.__getitem__, map(mod, prefixes, repeat(q))))
-            padded = sum(weights)
-        if padded * len(suffixes) > state_budget:
+            for (v, _, _), runs in zip(kept, by_v):
+                runs.append((end - i, [span(i + offsets[a], end + offsets[a])
+                                       for a in reads[v] if offsets.get(a) is not None]))
+        if padded * n_suf > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
         if p < switch:
-            steps.append(list(zip([mask for _, mask, _ in kept], by_v)))
+            plan.append(list(zip([mask for _, mask, _ in kept], by_v)))
         else:
             # per new suffix, the source positions per kept v
             sources = []
-            for parts in zip(*by_v):
+            for runs in zip(*by_v):
                 sources.extend(zip(*(
-                    zip(*idx) if idx else repeat((), size) for size, idx in parts
+                    zip(*idx) if idx else repeat((), size) for size, idx in runs
                 )))
-            steps.append(([(mask, size) for _, mask, size in kept], sources))
+            plan.append(([(mask, size) for _, mask, size in kept], sources))
+    prefixes = slices if psel is None else list(compress(slices, psel))
     if quotient:
         # phase 0 reads each suffix of S_0 at the position in P_w of its
         # canonical image; with two or more slices it runs on rows
@@ -361,14 +364,14 @@ def _plan_product(
             sel = list(map(reps[c].__eq__, cells))
             where.update(zip(compress(images, sel), compress(count(), sel)))
         order = list(map(where.get, slices, repeat(0)))
-        steps[0] = [
-            (mask, [(size, [order[s] for s in idx]) for size, idx in parts])
-            for mask, parts in steps[0]
+        plan[0] = [
+            (mask, [(size, [order[s] for s in idx]) for size, idx in runs])
+            for mask, runs in plan[0]
         ]
     elif prefixes != slices:
         pos = dict(zip(prefixes, count()))
         remap = list(map(pos.get, slices, repeat(len(prefixes))))
-    return steps, switch, remap, weights
+    return plan, switch, remap, weights
 
 
 def _rows_step(rows: list, step: list) -> list:
@@ -424,16 +427,14 @@ class Side:
     """Side n of a model, listed and planned on first use: what the count
     and the per-state table of side n share within one run.
 
-    ``slices()`` lists the slices once (``build_slice_space``, with its
-    sub-model preflight), and ``plan(quotient)`` makes the product's plan
-    once per kind.  A count's quotient plan with no class of two or more
-    symbols is the full plan, so the table reuses it.  The caller that
-    holds a side passes it to ``count_patterns`` and ``state_counts``,
-    which check every budget of their own before any product, as on a new
-    side.
+    ``slices()`` lists the slices once (``build_slice_space``), keeping
+    them and each listing step's (v, mask, size); ``plan(quotient)`` reads
+    the plan of each kind off them once (``_plan_product``).  A quotient
+    plan that took no quotient is also the full plan.  ``count_patterns``
+    and ``state_counts`` check their own budgets on a side passed to them.
     """
 
-    __slots__ = ("model", "n", "state_budget", "_phases", "_slices", "_plans")
+    __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_plans")
 
     def __init__(self, model: SftModel, n: int, state_budget: int = DEFAULT_STATE_BUDGET):
         self.model = model
@@ -445,8 +446,10 @@ class Side:
     def slices(self) -> list[int]:
         """The slices of side n, ascending."""
         if self._slices is None:
-            self._phases = _phase_checks(self.model, self.n)
-            space = build_slice_space(self.model, self.n, self._phases, self.state_budget)
+            model, n = self.model, self.n
+            self._steps = []
+            space = build_slice_space(model, n, _phase_checks(model, n),
+                                      self.state_budget, self._steps)
             self._slices = list(space)
         return self._slices
 
@@ -455,10 +458,7 @@ class Side:
         any vector is 0), on the canonical slices with ``quotient`` (see
         ``_plan_product``)."""
         if quotient not in self._plans:
-            model = self.model
-            slices = self.slices()
-            masks = model.allowed_masks[model.dimension - 1]
-            plan = _plan_product(model, self.n, slices, masks, self._phases,
+            plan = _plan_product(self.model, self.n, self.slices(), self._steps,
                                  self.state_budget, quotient)
             self._plans[quotient] = plan
             if plan is not None and plan[3] is None:  # no quotient was taken

@@ -28,7 +28,6 @@ from sftbounds.transfer import (
     Side,
     _apply_plan,
     _phase_checks,
-    _plan_product,
     build_slice_space,
     state_counts,
 )
@@ -41,6 +40,7 @@ from conftest import (
     single_symbol_forced,
 )
 from dict_walk import advance, phase_checks, slices_by_walk, state_counts_by_groups
+import plan_reference
 
 DEFAULT_EDGE_BUDGET = 2_000_000
 
@@ -210,7 +210,14 @@ def test_slice_budget_refused_before_any_product(
     applied.clear()
     with pytest.raises(BudgetExceededError, match="more than 62 slices at side 3"):
         count_via_transfer(hard_square3, 3, state_budget=62)
-    # only the sub-model counts, in d = 2 and below it d = 1, ran products
+    # only the d = 2 sub-model count ran products: its 2^3 slice fillings
+    # fit the budget, so it counts no sub-model of its own
+    assert set(planned) == set(applied) == {2}
+    planned.clear()
+    applied.clear()
+    # 2^3 > 7: the d = 2 count counts its 5 slices in d = 1 first
+    with pytest.raises(BudgetExceededError, match="more than 7 slices at side 3"):
+        count_via_transfer(hard_square3, 3, state_budget=7)
     assert set(planned) == set(applied) == {1, 2}
 
 
@@ -499,16 +506,9 @@ class PlannedProduct:
 
     def __init__(self, model, n, quotient=False):
         self.q, self.w = model.num_symbols, n ** (model.dimension - 1)
-        self.slices = sorted(slice_vector(model, n))
-        self.plan = _plan_product(
-            model,
-            n,
-            self.slices,
-            model.allowed_masks[model.dimension - 1],
-            _phase_checks(model, n),
-            DEFAULT_STATE_BUDGET,
-            quotient,
-        )
+        side = Side(model, n)
+        self.slices = side.slices()
+        self.plan = side.plan(quotient)
 
     def __call__(self, dist):
         """T dist: the plan computes T R, so it is fed R dist."""
@@ -854,6 +854,95 @@ def test_quotient_plan_sizes(hard_square2, coloring3_d2):
     )
 
 
+def side_plan(model, n, budget, quotient):
+    """The plan of side n as ``Side`` makes it, off the slice listing."""
+    return Side(model, n, budget).plan(quotient)
+
+
+def reference_plan(model, n, budget, quotient):
+    """The plan of side n by the suffix-derivation reference planner."""
+    phases = _phase_checks(model, n)
+    slices = list(build_slice_space(model, n, phases, budget))
+    masks = model.allowed_masks[model.dimension - 1]
+    return plan_reference.plan_product(model, n, slices, masks, phases, budget, quotient)
+
+
+def assert_plan_matches_reference(model, n, budget=DEFAULT_STATE_BUDGET):
+    """Both kinds of plan equal the reference's: steps, switch, remap and
+    weights, or the same refusal text."""
+    for quotient in (False, True):
+        got = outcome(side_plan, model, n, budget, quotient)
+        assert got == outcome(reference_plan, model, n, budget, quotient), (
+            model, n, budget, quotient,
+        )
+
+
+@st.composite
+def symmetric_models_and_budgets(draw):
+    """A random symmetric model in d = 1..3, a side, and a state budget,
+    small enough to refuse some plans or the default."""
+    d = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(q)))
+    pairs = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    forbidden = []
+    for _ in range(d):
+        base = draw(st.frozensets(pairs, max_size=4))
+        forbidden.append(frozenset(base | {(b, a) for a, b in base}))
+    n = draw(st.integers(1, {1: 6, 2: 4, 3: 3 if q <= 2 else 2}[d]))
+    budget = draw(st.one_of(st.integers(1, 300), st.just(DEFAULT_STATE_BUDGET)))
+    return SftModel(d, alphabet, tuple(forbidden)), n, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_models_and_budgets())
+def test_plan_matches_reference_random(case):
+    assert_plan_matches_reference(*case)
+
+
+def test_plan_matches_reference(hard_square2, hard_square3, coloring3_d2):
+    # the workload models at sides past the random ones, and models with
+    # dead-end prefixes (a symbol with no neighbor along a slice axis) over
+    # budgets
+    for model, n in [
+        (hard_square2, 12), (coloring3_d2, 7), (hard_square3, 4),
+        (builtin_model("coloring", 2, 4), 5), (builtin_model("coloring", 3, 3), 3),
+    ]:
+        assert_plan_matches_reference(model, n)
+    for model, sides, budgets in [
+        (isolated_symbol_model(2, 0), range(1, 6), range(1, 60, 3)),
+        (isolated_symbol_model(3, 0), range(1, 4), range(1, 800, 29)),
+        (isolated_symbol_model(3, 1), range(1, 4), range(1, 400, 17)),
+        (builtin_model("coloring", 2, 4), range(2, 5), range(1, 3000, 97)),
+    ]:
+        for n in sides:
+            for budget in [*budgets, DEFAULT_STATE_BUDGET]:
+                assert_plan_matches_reference(model, n, budget)
+
+
+def test_plans_run_no_prefix_recursion(monkeypatch, hard_square2, coloring3_d2):
+    # a timing-free guard: the listing of a side runs the prefix recursion
+    # once per slice cell, and no plan runs it again
+    import sftbounds.transfer as transfer_mod
+
+    spaces, plans = spy_on_sides(monkeypatch)
+    real = transfer_mod._extend_prefixes
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transfer_mod, "_extend_prefixes", spy)
+    for model, n_max in ((hard_square2, 8), (coloring3_d2, 6)):
+        spaces.clear()
+        plans.clear()
+        calls.clear()
+        build_report(model, n_max)
+        assert plans
+        assert len(calls) == sum(c * n ** (d - 1) for (d, n), c in spaces.items())
+
+
 def test_count_patterns_sides_1_to_4(hard_square2):
     assert [(n, count_patterns(hard_square2, n)) for n in range(1, 5)] == [
         (1, 2),
@@ -899,15 +988,24 @@ def test_count_patterns_dispatch_by_dimension(
     assert count_patterns(hard_square1, 4) == count_patterns_dfs(hard_square1, 4)
     assert count_patterns(hard_square2, 3) == 63
     assert count_patterns(hard_square3, 2) == 35
-    # each transfer of d >= 2 first counts its slices on the sub-model, one
-    # dimension down, through the same entry point; d = 1 needs no count
+    # q^w slice fillings of w cells within the budget: no level can exceed
+    # it, so no sub-model count
     assert used == [
         ("count_via_transfer", 1),
+        ("count_via_transfer", 2),
+        ("count_via_transfer", 3),
+    ]
+    used.clear()
+    # past the budget, a transfer of d >= 2 first counts its slices on the
+    # sub-model, one dimension down, through the same entry point; d = 1
+    # needs no count
+    assert count_patterns(hard_square2, 3, state_budget=7) == 63
+    assert count_patterns(hard_square3, 2, state_budget=15) == 35
+    assert used == [
         ("count_via_transfer", 2),
         ("count_via_transfer", 1),
         ("count_via_transfer", 3),
         ("count_via_transfer", 2),
-        ("count_via_transfer", 1),
     ]
 
 
@@ -1005,8 +1103,19 @@ def test_state_counts_refused_before_any_product(monkeypatch, hard_square3):
         BudgetExceededError, match="more than 200 boundary-state keys at side 3"
     ):
         state_counts(hard_square3, 3, state_budget=200)
-    # only the slice count of the sub-models planned and ran products
-    assert set(planned) == set(applied) == {1, 2}
+    # only the slice count of the d = 2 sub-model planned and ran products:
+    # 2^9 fillings of a d = 3 slice exceed the budget, while the 2^3 of a
+    # d = 2 slice fit it, so that count counts no sub-model of its own
+    assert set(planned) == set(applied) == {2}
+    planned.clear()
+    applied.clear()
+    # 2^3 fillings within budget 19: no sub-model count at all; 2^2 shell
+    # prefixes times 5 slices exceed it
+    with pytest.raises(
+        BudgetExceededError, match="more than 19 boundary-state keys at side 3"
+    ):
+        state_counts(builtin_model("hard-square", 2), 3, state_budget=19)
+    assert planned == applied == []
 
 
 def test_state_counts_budget_is_fields_times_slices(hard_square2, coloring3_d2):
