@@ -169,16 +169,50 @@ def verify_doubling_monotonicity(
     )
 
 
+def side_checks(
+    model: SftModel, n: int, c_n: int, c_glued: int, side: Side | None = None
+) -> list[tuple[str, int, bool | None, str]]:
+    """The checks that C_n and C_{2n-1} = ``c_glued`` decide, each as
+    (name, row, verdict, line): the key inequality of row n, on the
+    per-state table of ``side``, then for n >= 2 the power-mean and
+    doubling bounds of row m = n - 1, which read C_{m+1} = C_n and
+    C_{2m+1} = C_{2n-1}.  ``name`` is the ``RowChecks`` field and ``line``
+    the check with its exact operands; a table over budget leaves the key
+    verdict None, with the refusal as its line.
+    """
+    d = model.dimension
+    try:
+        lhs, rhs, holds = verify_key_inequality(model, n, c_glued, c_n, side)
+    except BudgetExceededError as exc:
+        holds, line = None, str(exc)
+    else:
+        line = (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
+                f"sum_s C_{n}^(s)^{1 << d} = {rhs}")
+    checks = [("key_inequality", n, holds, line)]
+    if n >= 2:
+        m, s = n - 1, model.num_symbols
+        expo = _power_mean_exponent(d, m)
+        checks.append((
+            "power_mean", m, verify_power_mean_bound(model, m, c_n, c_glued),
+            f"power-mean bound (n={m}): {c_glued} * {s}^{expo} >= {c_n}^{1 << d}",
+        ))
+        checks.append((
+            "doubling", m, verify_doubling_monotonicity(model, m, c_n, c_glued),
+            f"doubling monotonicity (n={m}): v_{2 * m} >= v_{m} "
+            f"with C_{m + 1} = {c_n}, C_{2 * m + 1} = {c_glued}",
+        ))
+    return checks
+
+
 def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
     """Bracket rows for n = 1..n_max with every check the counts support.
 
     Each row carries exact counts, the bracket, and the gap bound; the
-    per-row checks are filled in whenever they only need counts up to
-    n_max + 1 (the state-resolved inequality also needs the per-state
-    table of side n).  A count or table that exceeds its budget marks
-    that piece unavailable instead of aborting the report.  The count
-    and the table of side n share one ``Side``: it is listed and planned
-    once.
+    checks ``side_checks`` decides from C_n and C_{2n-1} are filled in
+    for every side n with 2n - 1 <= n_max + 1.  A count or table that
+    exceeds its budget marks that piece unavailable instead of aborting
+    the report.  The count and the table of side n share one ``Side``:
+    it is listed and planned once.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
@@ -192,25 +226,14 @@ def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
             counts[n] = count_patterns(model, n, side=side)
         except BudgetExceededError:
             counts[n] = None
-    rows = []
-    for n in range(1, n_max + 1):
-        row = entropy_bounds(model, n, counts[n], counts[n + 1])
-        if 2 * n + 1 <= n_max + 1:
-            c_n1, c_2n1 = counts[n + 1], counts[2 * n + 1]
-            if c_n1 is not None and c_2n1 is not None:
-                row.checks.power_mean = verify_power_mean_bound(model, n, c_n1, c_2n1)
-                row.checks.doubling = verify_doubling_monotonicity(
-                    model, n, c_n1, c_2n1
-                )
-        c_glued = counts.get(2 * n - 1)
-        if counts[n] is not None and c_glued is not None:
-            try:
-                _, _, row.checks.key_inequality = verify_key_inequality(
-                    model, n, c_glued, counts[n], sides.pop(n)
-                )
-            except BudgetExceededError:
-                pass
-        rows.append(row)
+    rows = [
+        entropy_bounds(model, n, counts[n], counts[n + 1]) for n in range(1, n_max + 1)
+    ]
+    for n, side in sides.items():
+        c_n, c_glued = counts[n], counts[2 * n - 1]
+        if c_n is not None and c_glued is not None:
+            for name, row, verdict, _ in side_checks(model, n, c_n, c_glued, side):
+                setattr(rows[row - 1].checks, name, verdict)
     return ConvergenceReport(model, rows)
 
 
@@ -285,6 +308,29 @@ def report_to_csv(report: ConvergenceReport, log_base: str = "e") -> str:
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def report_to_text(report: ConvergenceReport, log_base: str = "e") -> str:
+    """Aligned table of the JSON rows: n, C_n, lower, upper, gap_bound."""
+    rows = report_to_json_dict(report, log_base)["rows"]
+    width = max(3, *(len(row["C_n"] or "") for row in rows))
+    lines = [f"{'n':>4}  {'C_n':>{width}}  {'lower':>12}  {'upper':>12}  "
+             f"{'gap_bound':>12}"]
+    for row in rows:
+        lines.append(
+            f"{row['n']:>4}  {row['C_n'] or 'n/a':>{width}}  "
+            f"{_text_bound(row['lower']):>12}  {_text_bound(row['upper']):>12}  "
+            f"{row['gap_bound']:>12.6f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _text_bound(x) -> str:
+    if x is None:
+        return "n/a"
+    if isinstance(x, str):
+        return x
+    return f"{x:.6f}"
 
 
 def _csv_bound(x) -> str:

@@ -15,33 +15,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
-from .patterns import format_pattern, is_locally_admissible
+from .patterns import format_pattern
 from .transfer import BudgetExceededError, Side, count_patterns
-from .gluing import (
-    GlueError,
-    GlueInput,
-    glue,
-    glue_single,
-    periodic_core,
-    tiling_witness,
-    verify_key_inequality,
-)
+from .gluing import GlueError, glue_and_check
 from .bounds import (
-    _power_mean_exponent,
     build_report,
     report_to_csv,
     report_to_json_dict,
-    verify_doubling_monotonicity,
-    verify_power_mean_bound,
+    report_to_text,
+    side_checks,
     verify_qd_recurrence,
 )
-from .enumeration import _cell_checks
-from .sampling import SamplingError, sample_same_state_group
+from .sampling import SamplingError, check_glued_samples, sample_same_state_group
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,33 +140,15 @@ def cmd_count(model: SftModel, args) -> int:
     return EXIT_OK
 
 
-def _fmt_bound(x, scale: float) -> str:
-    if x is None:
-        return "n/a"
-    if x == float("-inf"):
-        return "-inf"
-    return f"{x * scale:.6f}"
-
-
 def cmd_bounds(model: SftModel, args) -> int:
     if args.n_max < 1:
         raise CliError(EXIT_USAGE, "bounds needs --n-max >= 1")
     report = build_report(model, args.n_max)
     if args.format == "json":
         print(json.dumps(report_to_json_dict(report, args.log_base), indent=2))
-        return EXIT_OK
-    if args.format == "csv":
-        sys.stdout.write(report_to_csv(report, args.log_base))
-        return EXIT_OK
-    scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2)
-    width = max([len(str(r.c_n)) if r.c_n is not None else 3 for r in report.rows] + [3])
-    print(f"{'n':>4}  {'C_n':>{width}}  {'lower':>12}  {'upper':>12}  {'gap_bound':>12}")
-    for row in report.rows:
-        c_txt = "n/a" if row.c_n is None else str(row.c_n)
-        print(
-            f"{row.n:>4}  {c_txt:>{width}}  {_fmt_bound(row.lower, scale):>12}  "
-            f"{_fmt_bound(row.upper, scale):>12}  {row.gap_bound * scale:>12.6f}"
-        )
+    else:
+        render = report_to_csv if args.format == "csv" else report_to_text
+        sys.stdout.write(render(report, args.log_base))
     return EXIT_OK
 
 
@@ -190,33 +161,15 @@ def cmd_verify(model: SftModel, args) -> int:
     if args.samples < 1:
         raise CliError(EXIT_USAGE, "verify needs --samples >= 1")
     n = args.n
-    d = model.dimension
-    results = []
-
-    # C_{2n-1} and C_n serve all three checks: the power-mean and doubling
-    # checks at m = n - 1 read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.  The
-    # count and the table of side n share one Side.
+    # the count and the table of side n share one Side
     c_glued = count_patterns(model, 2 * n - 1)
     side = Side(model, n)
     c_n = count_patterns(model, n, side=side)
-    lhs, rhs, holds = verify_key_inequality(model, n, c_glued, c_n, side)
-    results.append(
-        (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
-         f"sum_s C_{n}^(s)^{1 << d} = {rhs}", holds)
-    )
-
-    m = n - 1
-    s = model.num_symbols
-    expo = _power_mean_exponent(d, m)
-    pm = verify_power_mean_bound(model, m, c_n, c_glued)
-    results.append(
-        (f"power-mean bound (n={m}): {c_glued} * {s}^{expo} >= {c_n}^{1 << d}", pm)
-    )
-    db = verify_doubling_monotonicity(model, m, c_n, c_glued)
-    results.append(
-        (f"doubling monotonicity (n={m}): v_{2 * m} >= v_{m} "
-         f"with C_{m + 1} = {c_n}, C_{2 * m + 1} = {c_glued}", db)
-    )
+    results = []
+    for _, _, ok, line in side_checks(model, n, c_n, c_glued, side):
+        if ok is None:  # the per-state table was refused
+            raise BudgetExceededError(line)
+        results.append((line, ok))
 
     sweep_ok = all(
         verify_qd_recurrence(dd, nn) for dd in range(1, 7) for nn in range(1, 65)
@@ -224,28 +177,8 @@ def cmd_verify(model: SftModel, args) -> int:
     results.append(("correction-polynomial recurrence sweep (d<=6, n<=64)", sweep_ok))
 
     rng = random.Random(args.seed)
-    checks = _cell_checks(model, n)
-    sample_ok = True
-    checked = failures = 0
     # with C_n = 0 there is no side-n pattern to draw
-    for _ in range(args.samples if c_n else 0):
-        try:
-            group = sample_same_state_group(model, n, 1 << d, rng, checks)
-        except SamplingError:
-            failures += 1
-            if failures > 10:
-                raise
-            continue
-        checked += 1
-        glued = glue(GlueInput(model, tuple(group)))
-        if not is_locally_admissible(model, glued):
-            sample_ok = False
-            break
-        single = glue_single(model, group[0])
-        core = periodic_core(model, single)
-        if not is_locally_admissible(model, tiling_witness(model, core)):
-            sample_ok = False
-            break
+    checked, sample_ok = check_glued_samples(model, n, args.samples if c_n else 0, rng)
     label = f"glue/periodic property samples ({args.samples} draws, seed {args.seed})"
     if checked < args.samples and sample_ok:
         label += f", {checked} checked"
@@ -276,23 +209,17 @@ def cmd_glue_demo(model: SftModel, args) -> int:
         raise CliError(EXIT_USAGE, "glue-demo supports dimension 2 or 3")
     if args.n < 2:
         raise CliError(EXIT_USAGE, "glue-demo needs --n >= 2")
-    d = model.dimension
     rng = random.Random(args.seed)
-    group = sample_same_state_group(model, args.n, 1 << d, rng)
+    group = sample_same_state_group(model, args.n, 1 << model.dimension, rng)
     alphabet = model.alphabet
     for t, p in enumerate(group):
         print(f"# block {t}")
         print(format_pattern(p, alphabet))
-    glued = glue(GlueInput(model, tuple(group)))
+    glued, core, glued_ok, wrap_ok = glue_and_check(model, group)
     print("# glued")
     print(format_pattern(glued, alphabet))
-    glued_ok = is_locally_admissible(model, glued)
-
-    single = glue_single(model, group[0])
-    core = periodic_core(model, single)
     print("# periodic core (from block 0 glued with itself)")
     print(format_pattern(core, alphabet))
-    wrap_ok = is_locally_admissible(model, tiling_witness(model, core))
     print(f"admissible: {'yes' if glued_ok else 'no'}, wrap: {'yes' if wrap_ok else 'no'}")
     return EXIT_OK if glued_ok and wrap_ok else EXIT_VERIFY
 

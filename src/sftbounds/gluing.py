@@ -151,6 +151,19 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
     return CubePattern(2 * m, core.d, tuple(map(core.values.__getitem__, index)))
 
 
+def glue_and_check(
+    model: SftModel, group: list[CubePattern]
+) -> tuple[CubePattern, CubePattern, bool, bool]:
+    """Glue a same-state group, and its block 0 with itself: the glued
+    cube, the periodic core, and whether the glued cube and the core's
+    tiling witness are locally admissible."""
+    glued = glue(GlueInput(model, tuple(group)))
+    glued_ok = is_locally_admissible(model, glued)
+    core = periodic_core(model, glue_single(model, group[0]))
+    wrap_ok = is_locally_admissible(model, tiling_witness(model, core))
+    return glued, core, glued_ok, wrap_ok
+
+
 def verify_key_inequality(
     model: SftModel, n: int, c_glued: int, c_n: int, side: Side | None = None
 ) -> tuple[int, int, bool]:

@@ -17,16 +17,8 @@ from functools import lru_cache
 from .models import Alphabet, SftModel, _Value
 
 
-def encode(coords: Sequence[int], n: int) -> int:
-    """Linear index of a 0-based coordinate tuple."""
-    idx = 0
-    for x in coords:
-        idx = idx * n + x
-    return idx
-
-
 def decode(index: int, n: int, d: int) -> tuple[int, ...]:
-    """Inverse of encode; decode(encode(x)) == x for x in [0,n)^d."""
+    """The 0-based coordinates of the cell at a linear index."""
     out = [0] * d
     for k in range(d - 1, -1, -1):
         index, out[k] = divmod(index, n)
@@ -63,30 +55,6 @@ class CubePattern(_Value, frozen=True):
                 f"dimension {d}, got {len(values)}"
             )
         self.__dict__.update(n=n, d=d, values=values)
-
-    def value_at(self, coords: Sequence[int]) -> int:
-        return self.values[encode(coords, self.n)]
-
-    @classmethod
-    def from_nested(cls, nested) -> "CubePattern":
-        """Build from nested lists, outermost level = axis 1."""
-        d = 0
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            d += 1
-            probe = probe[0]
-        flat: list[int] = []
-
-        def walk(node, depth):
-            if depth == d:
-                flat.append(node)
-                return
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        n = round(len(flat) ** (1 / d)) if d else 1
-        return cls(n, d, tuple(flat))
 
 
 class SurfaceState(_Value, frozen=True):

@@ -3,8 +3,8 @@
 Every draw is the first leaf of the package's one backtracking search,
 ``enumeration._search``, with shuffled value orders and some cells pinned
 or none.  The shuffles come from a caller-supplied ``random.Random``, so
-identical seeds give identical draws.  Used by ``verify``, the gluing
-demos and the property tests.
+identical seeds give identical draws.  Used by ``verify`` (through
+``check_glued_samples``), the gluing demos and the property tests.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import random
 
 from .models import SftModel
 from .patterns import CubePattern, SurfaceState, surface_indices, surface_state
-from .enumeration import BudgetExceededError, _search
+from .enumeration import BudgetExceededError, _cell_checks, _search
+from .gluing import glue_and_check
 
 DEFAULT_ATTEMPT_BUDGET = 200_000
 
@@ -86,3 +87,27 @@ def sample_same_state_group(
     while len(out) < count:
         out.append(sample_with_state(model, anchor, rng, checks))
     return out
+
+
+def check_glued_samples(
+    model: SftModel, n: int, samples: int, rng: random.Random
+) -> tuple[int, bool]:
+    """Draw ``samples`` same-state groups of side n and glue and check each
+    (``gluing.glue_and_check``), up to the first that fails: (groups
+    checked, no check failed).  A draw that raises SamplingError is
+    skipped, up to 10 of them; the 11th is raised."""
+    checks = _cell_checks(model, n)
+    checked = failures = 0
+    for _ in range(samples):
+        try:
+            group = sample_same_state_group(model, n, 1 << model.dimension, rng, checks)
+        except SamplingError:
+            failures += 1
+            if failures > 10:
+                raise
+            continue
+        checked += 1
+        _, _, glued_ok, wrap_ok = glue_and_check(model, group)
+        if not (glued_ok and wrap_ok):
+            return checked, False
+    return checked, True

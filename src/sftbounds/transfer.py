@@ -158,11 +158,11 @@ def build_slice_space(
     phases: list,
     state_budget: int = DEFAULT_STATE_BUDGET,
     steps: list | None = None,
-) -> dict[int, int]:
-    """The all-ones vector over the admissible (d-1)-cube slices of side n.
+) -> list[int]:
+    """The admissible (d-1)-cube slices of side n, ascending.
 
-    The slices are the prefixes of full length, listed ascending by the
-    prefix recursion (``_extend_prefixes``), whose steps' (v, mask, size)
+    The slices are the prefixes of full length, listed by the prefix
+    recursion (``_extend_prefixes``), whose steps' (v, mask, size)
     lists are appended to ``steps`` when given.  Each level is checked
     against ``state_budget``, and for d >= 2 the slice count (the
     sub-model's C_n) first, unless the q^w fillings of a slice fit the
@@ -184,7 +184,7 @@ def build_slice_space(
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
-    return dict.fromkeys(prefixes, 1)
+    return prefixes
 
 
 def _reversals(q: int, k: int) -> list[int]:
@@ -448,9 +448,8 @@ class Side:
         if self._slices is None:
             model, n = self.model, self.n
             self._steps = []
-            space = build_slice_space(model, n, _phase_checks(model, n),
-                                      self.state_budget, self._steps)
-            self._slices = list(space)
+            self._slices = build_slice_space(model, n, _phase_checks(model, n),
+                                             self.state_budget, self._steps)
         return self._slices
 
     def plan(self, quotient: bool):

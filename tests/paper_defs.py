@@ -6,6 +6,8 @@ by cell and compare with ``gluing.glue``, which writes the reflected
 coordinates directly.  ``extend_to_plus_one`` is the side-(n+1) extension
 that makes the counts nondecreasing from side 2 on, and
 ``leading_gap_coefficient`` the degree-(d-1) coefficient of q_d.
+``encode``, ``value_at`` and ``from_nested`` read and build patterns by
+coordinates, as the tests state them.
 """
 
 from fractions import Fraction
@@ -18,6 +20,40 @@ from sftbounds import (
     is_locally_admissible,
 )
 from sftbounds.patterns import restrict
+
+
+def encode(coords, n: int) -> int:
+    """Linear index of a 0-based coordinate tuple."""
+    idx = 0
+    for x in coords:
+        idx = idx * n + x
+    return idx
+
+
+def value_at(p: CubePattern, coords) -> int:
+    """The value of ``p`` at 0-based coordinates."""
+    return p.values[encode(coords, p.n)]
+
+
+def from_nested(nested) -> CubePattern:
+    """Build from nested lists, outermost level = axis 1."""
+    d = 0
+    probe = nested
+    while isinstance(probe, (list, tuple)):
+        d += 1
+        probe = probe[0]
+    flat = []
+
+    def walk(node, depth):
+        if depth == d:
+            flat.append(node)
+            return
+        for child in node:
+            walk(child, depth + 1)
+
+    walk(nested, 0)
+    n = round(len(flat) ** (1 / d)) if d else 1
+    return CubePattern(n, d, tuple(flat))
 
 
 def flip(p: CubePattern, axis: int) -> CubePattern:

@@ -291,6 +291,20 @@ def test_report_key_check_over_budget_leaves_the_rest(monkeypatch, hard_square2)
     assert [r.checks.key_inequality for r in report.rows] == [None] * 3
 
 
+def test_report_refused_table_leaves_the_rest(monkeypatch, hard_square2):
+    import sftbounds.gluing as gluing_mod
+    from sftbounds import BudgetExceededError
+
+    def refused(*args, **kwargs):
+        raise BudgetExceededError("more than 7 boundary-state keys at side 3")
+
+    monkeypatch.setattr(gluing_mod, "state_counts", refused)
+    report = build_report(hard_square2, 5)
+    assert [r.checks.key_inequality for r in report.rows] == [None] * 5
+    assert [r.checks.power_mean for r in report.rows] == [True, True, None, None, None]
+    assert [r.checks.doubling for r in report.rows] == [True, True, None, None, None]
+
+
 def test_report_bracket_consistency(hard_square2, coloring3_d2):
     for model in (hard_square2, coloring3_d2):
         report = build_report(model, 5)

@@ -154,9 +154,9 @@ def test_verify_without_patterns_leaves_sampling_undecided(capsys, samples):
 
 
 def test_verify_names_the_draws_it_checked(capsys, monkeypatch):
-    import sftbounds.cli as cli_mod
+    import sftbounds.sampling as sampling_mod
 
-    real = cli_mod.sample_same_state_group
+    real = sampling_mod.sample_same_state_group
     calls = []
 
     def every_other_draw_fails(*args):
@@ -165,7 +165,7 @@ def test_verify_names_the_draws_it_checked(capsys, monkeypatch):
             raise SamplingError("no admissible pattern found")
         return real(*args)
 
-    monkeypatch.setattr(cli_mod, "sample_same_state_group", every_other_draw_fails)
+    monkeypatch.setattr(sampling_mod, "sample_same_state_group", every_other_draw_fails)
     code, out, _ = run_cli(
         capsys, "--builtin", "hard-square", "--dim", "2", "--seed", "1",
         "verify", "--n", "2", "--samples", "6",
@@ -173,6 +173,22 @@ def test_verify_names_the_draws_it_checked(capsys, monkeypatch):
     assert code == 0
     assert "samples (6 draws, seed 1), 3 checked ... PASS" in out
     assert "all checks passed" in out
+
+
+def test_verify_refused_table_exits_two(capsys, monkeypatch):
+    import sftbounds.gluing as gluing_mod
+    from sftbounds import BudgetExceededError
+
+    def refused(*args, **kwargs):
+        raise BudgetExceededError("more than 7 boundary-state keys at side 3")
+
+    monkeypatch.setattr(gluing_mod, "state_counts", refused)
+    code, out, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "verify", "--n", "3",
+    )
+    assert code == 2
+    assert err == "resource limit: more than 7 boundary-state keys at side 3\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

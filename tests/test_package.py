@@ -117,3 +117,23 @@ def test_bench_tracer_contract():
         for n in sides:
             slices = build_slice_space(model, n, _phase_checks(model, n))
             assert len(slices) == count_patterns_dfs(drop_last_axis(model), n)
+
+
+def test_cli_imports_no_private_name_or_check():
+    # the CLI parses and prints: every check is decided in the library
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "sftbounds")
+        for alias in node.names
+    }
+    assert imported
+    assert sorted(name for name in imported if name.startswith("_")) == []
+    checks = {
+        "verify_key_inequality", "verify_power_mean_bound",
+        "verify_doubling_monotonicity", "glue", "glue_single", "periodic_core",
+        "tiling_witness", "is_locally_admissible",
+    }
+    assert sorted(imported & checks) == []

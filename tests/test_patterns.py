@@ -11,9 +11,9 @@ from sftbounds import (
     is_locally_admissible,
     surface_state,
 )
-from sftbounds.patterns import decode, encode, restrict, surface_indices
+from sftbounds.patterns import decode, restrict, surface_indices
 
-from paper_defs import compose_flips, flip
+from paper_defs import compose_flips, encode, flip, from_nested, value_at
 
 
 def parse_pattern(text: str, alphabet: Alphabet) -> CubePattern:
@@ -89,7 +89,7 @@ def test_flip_boundary_row_reverses():
     # a 1-d view of the column reversal on the far face
     p = CubePattern(3, 2, tuple(range(9)))
     v = flip(p, 2)
-    assert [v.value_at((0, j)) for j in range(3)] == [2, 1, 0]
+    assert [value_at(v, (0, j)) for j in range(3)] == [2, 1, 0]
 
 
 def test_flip_axis_out_of_range():
@@ -239,6 +239,6 @@ def test_pattern_constructor_validation():
 
 
 def test_from_nested():
-    p = CubePattern.from_nested([[0, 1], [2, 3]])
+    p = from_nested([[0, 1], [2, 3]])
     assert p.values == (0, 1, 2, 3)
-    assert p.value_at((1, 0)) == 2
+    assert value_at(p, (1, 0)) == 2

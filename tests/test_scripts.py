@@ -19,13 +19,13 @@ def run_script(name, *args):
 
 
 def test_hard_square_report_script():
-    proc = run_script("hard_square_report.py", "4")
+    proc = run_script("bracket_report.py", "hard-square", "2", "4")
     assert proc.returncode == 0, proc.stderr
     assert "doubling checks: 2/2 hold" in proc.stdout
 
 
 def test_coloring_report_script():
-    proc = run_script("coloring_report.py", "3", "4")
+    proc = run_script("bracket_report.py", "coloring:3", "2", "4")
     assert proc.returncode == 0, proc.stderr
     assert "inside bracket: True" in proc.stdout
 

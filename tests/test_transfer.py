@@ -46,8 +46,15 @@ DEFAULT_EDGE_BUDGET = 2_000_000
 
 
 def slice_vector(model, n):
-    """The all-ones slice vector as the transfer builds it."""
-    return build_slice_space(model, n, _phase_checks(model, n))
+    """The all-ones vector over the slices the transfer lists."""
+    return dict.fromkeys(build_slice_space(model, n, _phase_checks(model, n)), 1)
+
+
+def listed_by_walk(model, n, state_budget=DEFAULT_STATE_BUDGET):
+    """The slices the dict walk reaches, ascending; each with weight 1."""
+    walk = slices_by_walk(model, n, state_budget)
+    assert set(walk.values()) <= {1}
+    return sorted(walk)
 
 
 def enumerated_slices(model, n):
@@ -317,17 +324,17 @@ def test_slice_space_matches_dict_walk(hard_square2, hard_square3, coloring3_d2)
     seen = set()
     for model, n, budgets in cases:
         phases = _phase_checks(model, n)
-        assert build_slice_space(model, n, phases) == slices_by_walk(model, n)
+        assert build_slice_space(model, n, phases) == listed_by_walk(model, n)
         for budget in budgets:
             got = outcome(build_slice_space, model, n, phases, budget)
-            assert got == outcome(slices_by_walk, model, n, budget), (model, n, budget)
+            assert got == outcome(listed_by_walk, model, n, budget), (model, n, budget)
             if isinstance(got, str):
                 # "more than {budget} {what} at side {n}" -> what
                 seen.add(got.split(" ", 3)[3].split(" at side")[0])
             else:
-                seen.add(dict)
+                seen.add(list)
     # the sub-model preflight and a phase's prefixes both refuse somewhere
-    assert seen == {"slices", "live transfer states", dict}
+    assert seen == {"slices", "live transfer states", list}
 
 
 def test_transitions_hard_square_n2(hard_square2):
@@ -862,7 +869,7 @@ def side_plan(model, n, budget, quotient):
 def reference_plan(model, n, budget, quotient):
     """The plan of side n by the suffix-derivation reference planner."""
     phases = _phase_checks(model, n)
-    slices = list(build_slice_space(model, n, phases, budget))
+    slices = build_slice_space(model, n, phases, budget)
     masks = model.allowed_masks[model.dimension - 1]
     return plan_reference.plan_product(model, n, slices, masks, phases, budget, quotient)
 
