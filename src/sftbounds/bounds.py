@@ -78,6 +78,12 @@ def verify_qd_recurrence(d: int, n: int) -> bool:
     return lhs == 2 ** d * _horner(coefs, n)
 
 
+def qd_recurrence_sweep() -> tuple[str, bool]:
+    """The doubling identity for every d <= 6 and n <= 64, as (line, verdict)."""
+    holds = all(verify_qd_recurrence(d, n) for d in range(1, 7) for n in range(1, 65))
+    return "correction-polynomial recurrence sweep (d<=6, n<=64)", holds
+
+
 def log_count(c: int) -> float:
     """Natural log of an exact count; -inf for zero."""
     if c < 0:
@@ -261,11 +267,7 @@ def report_to_json_dict(report: ConvergenceReport, log_base: str = "e") -> dict:
                 "upper": _json_bound(None if row.upper is None else row.upper * scale),
                 "lower": _json_bound(None if row.lower is None else row.lower * scale),
                 "gap_bound": row.gap_bound * scale,
-                "checks": {
-                    "key_inequality": row.checks.key_inequality,
-                    "power_mean": row.checks.power_mean,
-                    "doubling": row.checks.doubling,
-                },
+                "checks": {name: getattr(row.checks, name) for name in RowChecks._fields},
             }
         )
     return {
@@ -278,35 +280,12 @@ def report_to_json_dict(report: ConvergenceReport, log_base: str = "e") -> dict:
 
 
 def report_to_csv(report: ConvergenceReport, log_base: str = "e") -> str:
-    """CSV mirror of the JSON rows."""
-    doc = report_to_json_dict(report, log_base)
-    header = [
-        "n",
-        "C_n",
-        "C_n_plus_1",
-        "q_d_n",
-        "upper",
-        "lower",
-        "gap_bound",
-        "key_inequality",
-        "power_mean",
-        "doubling",
-    ]
-    lines = [",".join(header)]
-    for row in doc["rows"]:
-        cells = [
-            str(row["n"]),
-            row["C_n"] or "",
-            row["C_n_plus_1"] or "",
-            row["q_d_n"],
-            _csv_bound(row["upper"]),
-            _csv_bound(row["lower"]),
-            repr(row["gap_bound"]),
-            _csv_flag(row["checks"]["key_inequality"]),
-            _csv_flag(row["checks"]["power_mean"]),
-            _csv_flag(row["checks"]["doubling"]),
-        ]
-        lines.append(",".join(cells))
+    """The JSON rows, one line each, with ``checks`` flattened into the last
+    columns; the header is the row's keys."""
+    rows = report_to_json_dict(report, log_base)["rows"]
+    for row in rows:
+        row.update(row.pop("checks"))
+    lines = [",".join(rows[0]), *(",".join(map(_csv_cell, row.values())) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -333,15 +312,10 @@ def _text_bound(x) -> str:
     return f"{x:.6f}"
 
 
-def _csv_bound(x) -> str:
+def _csv_cell(x) -> str:
+    """A JSON value as a CSV cell: null empty, booleans as in JSON."""
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
-    return repr(x)
-
-
-def _csv_flag(x) -> str:
-    if x is None:
-        return ""
-    return "true" if x else "false"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)  # a float's str is its repr

@@ -24,11 +24,11 @@ from .transfer import BudgetExceededError, Side, count_patterns
 from .gluing import GlueError, glue_and_check
 from .bounds import (
     build_report,
+    qd_recurrence_sweep,
     report_to_csv,
     report_to_json_dict,
     report_to_text,
     side_checks,
-    verify_qd_recurrence,
 )
 from .sampling import SamplingError, check_glued_samples, sample_same_state_group
 
@@ -171,10 +171,7 @@ def cmd_verify(model: SftModel, args) -> int:
             raise BudgetExceededError(line)
         results.append((line, ok))
 
-    sweep_ok = all(
-        verify_qd_recurrence(dd, nn) for dd in range(1, 7) for nn in range(1, 65)
-    )
-    results.append(("correction-polynomial recurrence sweep (d<=6, n<=64)", sweep_ok))
+    results.append(qd_recurrence_sweep())
 
     rng = random.Random(args.seed)
     # with C_n = 0 there is no side-n pattern to draw

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .models import SftModel
-from .patterns import CubePattern, SurfaceState, decode, surface_indices
+from .patterns import CubePattern, SurfaceState, predecessors, surface_indices
 from .transfer import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -25,15 +25,9 @@ DEFAULT_NODE_BUDGET = 50_000_000
 
 def _cell_checks(model: SftModel, n: int):
     """Per cell: (offset, masks) for each already-assigned neighbor axis."""
-    d = model.dimension
     masks = model.allowed_masks
-    checks: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
-    for idx in range(n ** d):
-        x = decode(idx, n, d)
-        checks.append(tuple(
-            (n ** (d - 1 - k), masks[k]) for k in range(d - 1, -1, -1) if x[k] > 0
-        ))
-    return checks
+    return [tuple((off, masks[k]) for off, k in preds)
+            for preds in predecessors(n, model.dimension)]
 
 
 class _Shuffled:

@@ -141,18 +141,10 @@ class SftModel(_Value, frozen=True):
     @cached_property
     def allowed_masks(self) -> tuple[tuple[int, ...], ...]:
         """allowed_masks[axis][a]: bitmask over b with (a, b) allowed."""
-        q = self.num_symbols
-        out = []
-        for pairs in self.forbidden:
-            row = []
-            for a in range(q):
-                m = 0
-                for b in range(q):
-                    if (a, b) not in pairs:
-                        m |= 1 << b
-                row.append(m)
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(
+            tuple(sum(ok << b for b, ok in enumerate(row)) for row in rows)
+            for rows in self.allowed
+        )
 
     @cached_property
     def symbol_classes(self) -> tuple[int, ...]:

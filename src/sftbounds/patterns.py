@@ -25,6 +25,17 @@ def decode(index: int, n: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def predecessors(n: int, d: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per cell of the side-n cube of dimension d, in linear-index order:
+    (offset, axis) for each axis k on which the cell has a predecessor,
+    the cell offset = n^(d-1-k) indices back."""
+    table = [()]
+    for k in range(d):
+        offset = n ** (d - 1 - k)
+        table = [t + ((offset, k),) if x else t for t in table for x in range(n)]
+    return table
+
+
 @lru_cache(maxsize=256)
 def cube_index(n: int, axes: tuple[Sequence[int], ...]) -> tuple[int, ...]:
     """Linear indices, in the side-n cube of dimension len(axes), of the

@@ -87,7 +87,7 @@ from itertools import chain, compress, count, repeat
 from operator import add, and_, floordiv, lshift, mod, mul, or_
 
 from .models import SftModel, drop_last_axis
-from .patterns import decode, surface_indices
+from .patterns import predecessors, surface_indices
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
@@ -99,23 +99,14 @@ class BudgetExceededError(RuntimeError):
 def _phase_checks(model: SftModel, n: int):
     """Per slice cell p: (divisor, masks) for each within-slice predecessor.
 
-    The predecessor along axis k is cell p - n^(d-2-k), so it is digit
-    ``prefix // divisor % q`` of a prefix holding cells 0..p-1.  The
+    The predecessor ``offset`` cells back is digit ``prefix // divisor %
+    q`` of a prefix holding cells 0..p-1, divisor q^(p - offset).  The
     previous-slice constraint is not listed: the plan applies it at
     every cell.
     """
-    d = model.dimension
-    q = model.num_symbols
-    masks = model.allowed_masks
-    plans = []
-    for p in range(n ** (d - 1)):
-        y = decode(p, n, d - 1)
-        plans.append(tuple(
-            (q ** (p - n ** (d - 2 - k)), masks[k])
-            for k in range(d - 1)
-            if y[k] > 0
-        ))
-    return plans
+    q, masks = model.num_symbols, model.allowed_masks
+    return [tuple((q ** (p - off), masks[k]) for off, k in preds)
+            for p, preds in enumerate(predecessors(n, model.dimension - 1))]
 
 
 def _extend_prefixes(
@@ -234,7 +225,8 @@ def _plan_product(
     R(s_i): the product maps u to T R u.  ``remap`` puts the output back
     in slice order, with zeros, when P_w is not every slice.
 
-    With ``quotient`` and a class of two or more symbols, P_1 holds only
+    With ``quotient``, which the caller takes only for two or more slices
+    and a class of two or more symbols (``Side.plan``), P_1 holds only
     representatives, and the product maps a vector over the canonical
     slices P_w to one over them (module docstring).  S_p stays the full
     plan's (a kept v reads for its class-mates too), and the budget
@@ -250,7 +242,6 @@ def _plan_product(
     last = model.allowed_masks[-1]
     reads = [[a for a in range(q) if last[a] >> v & 1] for v in range(q)]
     reps = model.symbol_classes
-    quotient = quotient and len(slices) > 1 and reps != tuple(range(q))
     mates = reads
     if quotient:
         # what v or a class-mate of v reads; v's class size; (rep(c) c) on
@@ -429,9 +420,9 @@ class Side:
 
     ``slices()`` lists the slices once (``build_slice_space``), keeping
     them and each listing step's (v, mask, size); ``plan(quotient)`` reads
-    the plan of each kind off them once (``_plan_product``).  A quotient
-    plan that took no quotient is also the full plan.  ``count_patterns``
-    and ``state_counts`` check their own budgets on a side passed to them.
+    the plan of each kind off them once (``_plan_product``).
+    ``count_patterns`` and ``state_counts`` check their own budgets on a
+    side passed to them.
     """
 
     __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_plans")
@@ -455,13 +446,15 @@ class Side:
     def plan(self, quotient: bool):
         """The plan of side n's product, n >= 2 (None when the product of
         any vector is 0), on the canonical slices with ``quotient`` (see
-        ``_plan_product``)."""
+        ``_plan_product``).  The quotient is taken only for two or more
+        slices and a class of two or more symbols; otherwise the full plan
+        serves both kinds."""
+        model, slices = self.model, self.slices()
+        quotient = (quotient and len(slices) > 1
+                    and model.symbol_classes != tuple(range(model.num_symbols)))
         if quotient not in self._plans:
-            plan = _plan_product(self.model, self.n, self.slices(), self._steps,
-                                 self.state_budget, quotient)
-            self._plans[quotient] = plan
-            if plan is not None and plan[3] is None:  # no quotient was taken
-                self._plans[False] = plan
+            self._plans[quotient] = _plan_product(model, self.n, slices, self._steps,
+                                                  self.state_budget, quotient)
         return self._plans[quotient]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sftbounds import (
     build_report,
+    builtin_model,
     count_patterns,
     entropy_bounds,
     q_poly,
@@ -424,6 +425,33 @@ def test_report_csv_mirrors_rows(hard_square2):
     assert first[0] == "1"
     assert first[1] == "2"
     assert first[7] == "true"  # key inequality checked at n=1
+    # cell for cell, where rendering differs: -inf bounds and undecided
+    # checks (coloring:1), C_6 over budget (hard-square d=3), log base 2
+    csv = {}
+    for name, model, n_max, log_base in (
+        ("coloring:1", builtin_model("coloring", 2, 1), 3, "e"),
+        ("hard-square d=3", builtin_model("hard-square", 3), 5, "e"),
+        ("bits", hard_square2, 3, "2"),
+    ):
+        report = build_report(model, n_max)
+        rows = report_to_json_dict(report, log_base)["rows"]
+        lines = csv[name] = report_to_csv(report, log_base).splitlines()
+        assert len(lines) == 1 + len(rows)
+        for row, line in zip(rows, lines[1:]):
+            flat = {k: v for k, v in row.items() if k != "checks"} | row["checks"]
+            assert lines[0].split(",") == list(flat)
+            assert line.split(",") == [
+                "" if v is None else v if isinstance(v, str) else json.dumps(v)
+                for v in flat.values()
+            ]
+    assert csv["coloring:1"][1:] == [
+        "1,1,0,4/1,0.0,-inf,0.0,true,true,true",
+        "2,0,0,7/1,-inf,-inf,0.0,true,,",
+        "3,0,0,10/1,-inf,-inf,0.0,,,",
+    ]
+    last = csv["hard-square d=3"][-1].split(",")
+    assert last[:3] == ["5", "1621477990380993035885", ""] and last[5] == ""
+    assert csv["bits"][1].startswith("1,2,7,4/1,1.0,")
 
 
 @settings(max_examples=20, deadline=None)

@@ -359,9 +359,9 @@ def test_usage_error_exit_code_from_argparse(capsys):
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):
-    import sftbounds.cli as cli_mod
+    import sftbounds.bounds as bounds_mod
 
-    monkeypatch.setattr(cli_mod, "verify_qd_recurrence", lambda d, n: False)
+    monkeypatch.setattr(bounds_mod, "verify_qd_recurrence", lambda d, n: False)
     code, out, _ = run_cli(
         capsys, "--builtin", "hard-square", "--dim", "2", "--seed", "1",
         "verify", "--n", "2", "--samples", "2",

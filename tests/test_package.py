@@ -133,7 +133,7 @@ def test_cli_imports_no_private_name_or_check():
     assert sorted(name for name in imported if name.startswith("_")) == []
     checks = {
         "verify_key_inequality", "verify_power_mean_bound",
-        "verify_doubling_monotonicity", "glue", "glue_single", "periodic_core",
-        "tiling_witness", "is_locally_admissible",
+        "verify_doubling_monotonicity", "verify_qd_recurrence", "glue", "glue_single",
+        "periodic_core", "tiling_witness", "is_locally_admissible",
     }
     assert sorted(imported & checks) == []
