@@ -5,9 +5,12 @@ For each side n it prints the slice count and the median CPU time, in
 milliseconds, of
   list      listing the slices (``Side.slices``, with its preflight);
   full      the full plan (``Side.plan(False)``), on listed slices;
-  quotient  the count's plan (``Side.plan(True)``), on listed slices;
+  quotient  the count's plan (``Side.plan(True)``) on a side that already
+            has its full plan: the derivation alone;
   count     ``count_patterns`` on a side already listed and planned: the
-            products of the count alone.
+            products of the count alone;
+  table     ``state_counts`` on a side already listed and planned: the
+            per-state table alone (nan where its budget refuses the side).
 Every repeat starts from a new ``Side``, so nothing is reused across them.
 
 Usage: python scripts/side_timings.py MODEL D SIDES [REPEATS]
@@ -20,10 +23,10 @@ import statistics
 import sys
 import time
 
-from sftbounds import builtin_model, count_patterns
-from sftbounds.transfer import Side
+from sftbounds import BudgetExceededError, builtin_model, count_patterns
+from sftbounds.transfer import Side, state_counts
 
-HEADINGS = ("slices", "list", "full", "quotient", "count")
+HEADINGS = ("slices", "list", "full", "quotient", "count", "table")
 
 
 def parse_sides(text: str) -> list[int]:
@@ -35,12 +38,16 @@ def parse_sides(text: str) -> list[int]:
 
 
 def cpu_ms(setup, run, repeats: int) -> float:
-    """Median CPU milliseconds of ``run(setup())`` over ``repeats`` runs."""
+    """Median CPU milliseconds of ``run(setup())`` over ``repeats`` runs;
+    nan when ``run`` refuses by its budget."""
     times = []
     for _ in range(repeats):
         arg = setup()
         start = time.process_time()
-        run(arg)
+        try:
+            run(arg)
+        except BudgetExceededError:
+            return float("nan")
         times.append(time.process_time() - start)
     return 1e3 * statistics.median(times)
 
@@ -58,9 +65,9 @@ def main() -> None:
         side.slices()
         return side
 
-    def planned(n):
+    def planned(n, quotient=True):
         side = listed(n)
-        side.plan(True)
+        side.plan(quotient)
         return side
 
     print(f"{'n':>3}  " + "  ".join(f"{h:>9}" for h in HEADINGS))
@@ -68,8 +75,10 @@ def main() -> None:
         figures = (
             cpu_ms(lambda: Side(model, n), Side.slices, repeats),
             cpu_ms(lambda: listed(n), lambda side: side.plan(False), repeats),
-            cpu_ms(lambda: listed(n), lambda side: side.plan(True), repeats),
+            cpu_ms(lambda: planned(n, False), lambda side: side.plan(True), repeats),
             cpu_ms(lambda: planned(n), lambda side: count_patterns(model, n, side=side),
+                   repeats),
+            cpu_ms(lambda: planned(n, False), lambda side: state_counts(model, n, side=side),
                    repeats),
         )
         slices = len(listed(n).slices())

@@ -26,23 +26,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .models import SftModel, _Value, model_to_doc
 from .transfer import BudgetExceededError, Side, count_patterns
 from .gluing import verify_key_inequality
 
 
-def _q_scaled(d: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=None)
+def _q_scaled(d: int) -> tuple[tuple[int, ...], int]:
     """L q_d as integer coefficients, highest power first, and q_d's common
-    denominator L = lcm(2^d - 2^k)."""
+    denominator L = lcm(2^d - 2^k); computed once per d."""
     # (2^d - 1) sum_k C(d, k) n^k / (2^d - 2^k)
     dens = [2 ** d - 2 ** k for k in range(d)]
     lcm = math.lcm(*dens)
     coefs = [(2 ** d - 1) * math.comb(d, k) * (lcm // dens[k]) for k in range(d)]
-    return coefs[::-1], lcm
+    return tuple(coefs[::-1]), lcm
 
 
-def _horner(coefs: list[int], n: int) -> int:
+def _horner(coefs: tuple[int, ...], n: int) -> int:
     """The polynomial with ``coefs``, highest power first, at n."""
     value = 0
     for c in coefs:

@@ -24,20 +24,21 @@ product of a side shares one plan (``_plan_product``).
 The plan reads its lists off the slice listing.  The slices are the
 prefixes of full length, listed level by level by one prefix recursion
 (``_extend_prefixes``): level k holds the within-slice-admissible
-prefixes of k cells, ascending, grouped by cell k-1.  A phase's prefixes
-are a selection of a level, and so are its suffixes, by the point
-reflection R of a slice (cell j to cell w-1-j).  R maps a pair of
-neighbors along a slice axis to the same pair reversed, and every
-forbidden set is symmetric, so R maps slices to slices and compatible
-pairs to compatible pairs: RT = TR, and R1 = 1.  A suffix packed with
-its first cell most significant is the prefix packing of its reflection,
-so the suffixes of phase p that begin with a are a group of level w-p,
-whose mask places their tails in level w-p-1 in a few ranges, each
-gathered as one list slice.  Position i of the input stands for R(s_i),
-so a product computes T R, which is T on every R-invariant vector, as
-every T^k 1 is.  For d >= 2 the slice count, the sub-model's C_n (by
-this same transfer, one dimension down), is checked against the budget
-before the listing, unless the q^w fillings of a slice of w cells fit it.
+prefixes of k cells, ascending, grouped by cell k-1, which the next step
+reads off the groups.  A phase's prefixes are a selection of a level, and
+so are its suffixes, by the point reflection R of a slice (cell j to cell
+w-1-j).  R maps a pair of neighbors along a slice axis to the same pair
+reversed, and every forbidden set is symmetric, so R maps slices to
+slices and compatible pairs to compatible pairs: RT = TR, and R1 = 1.  A
+suffix packed with its first cell most significant is the prefix packing
+of its reflection, so the suffixes of phase p that begin with a are a
+group of level w-p, whose mask places their tails in level w-p-1 in a
+few ranges, each gathered as one list slice.  Position i of the input
+stands for R(s_i), so a product computes T R, which is T on every
+R-invariant vector, as every T^k 1 is.  For d >= 2 the slice count, the
+sub-model's C_n (by this same transfer, one dimension down), is checked
+against the budget before the listing, unless the q^w fillings of a
+slice of w cells fit it.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <T^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``, since
@@ -49,16 +50,15 @@ counts of about half the width.
 The count also runs on one slice per symbol class.  Symbols r and s share
 a class when the transposition (r s) maps every axis's forbidden set onto
 itself (``SftModel.symbol_classes``; the smallest symbol represents its
-class).  Applied cell by cell, such a permutation maps slices to slices
-and compatible pairs to compatible pairs, so it commutes with T and fixes
-1: T^k 1 is constant on its orbits.  The canonical slices are those whose
-cell 0 is a representative, and tau = (rep(c) c) maps the slices with
-cell 0 = c one-to-one onto those with cell 0 = rep(c) without changing
-v * u, with v and u the two halves of the walk; so
-``C_n = sum over canonical t of |class(t_0)| * v(t) * u(t)``, and a
-product reads the input at s from tau s.  For coloring:q this is a q-th
-of the work; hard-square has no class of two symbols and runs the full
-product, as ``state_counts`` always does (its fields are not invariant).
+class).  Applied cell by cell, such a permutation commutes with T and
+fixes 1, so T^k 1 is constant on its orbits.  tau = (rep(c) c) maps the
+slices with cell 0 = c one-to-one onto the canonical ones, cell 0 =
+rep(c), so ``C_n = sum over canonical t of |class(t_0)| * v(t) * u(t)``,
+v and u the two halves of the walk, and a product reads the input at s
+from tau s.  Its plan is derived from the full plan (``_quotient_plan``).
+For coloring:q this is a q-th of the work; hard-square has no class of two
+symbols and runs the full product, as ``state_counts`` always does (its
+fields are not invariant).
 
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
@@ -84,12 +84,13 @@ import re
 import sys
 from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import add, and_, floordiv, lshift, mod, mul, or_
+from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, or_
 
 from .models import SftModel, drop_last_axis
 from .patterns import predecessors, surface_indices
 
 DEFAULT_STATE_BUDGET = 5_000_000
+_ONES = re.compile(rb"\x01+")  # the runs of ones of a 0/1 mask
 
 
 class BudgetExceededError(RuntimeError):
@@ -110,29 +111,30 @@ def _phase_checks(model: SftModel, n: int):
 
 
 def _extend_prefixes(
-    prefixes: list[int], checks: tuple, p: int, q: int
+    prefixes: list[int], checks: tuple, p: int, q: int, groups: list
 ) -> tuple[list, list[int]]:
     """One step of the prefix recursion: the next slice's cell p.
 
-    ``prefixes`` pack cells 0..p-1 (cell j at digit j) and ``checks`` is
-    ``_phase_checks``'s entry for cell p.  Lists (v, mask, size) for each
-    symbol v that some prefix takes, with ``mask`` the 0/1 bytes over
-    ``prefixes`` of those that take v (None when all do), and returns it
-    with the extended prefixes, v-major: ascending when ``prefixes`` are.
-    """
-    # each within-slice predecessor of cell p, as a digit of each prefix
+    ``prefixes`` pack cells 0..p-1 (cell j at digit j), grouped by cell
+    p-1 as ``groups``, the previous step; ``checks`` is ``_phase_checks``'s
+    entry for cell p.  Lists (v, mask, size) for each v that some prefix
+    takes, ``mask`` the 0/1 bytes over ``prefixes`` of those that take v
+    (None when every symbol passes every check), with the extended
+    prefixes, v-major: ascending when ``prefixes`` are."""
+    # each within-slice predecessor of cell p as a digit, but cell p-1 (None)
     held = []
     for div, wmasks in checks:
-        ys = map(floordiv, prefixes, repeat(div))
-        held.append((list(map(mod, ys, repeat(q))), wmasks))
+        ys = None if div * q == q ** p else map(floordiv, prefixes, repeat(div))
+        held.append((ys and list(map(mod, ys, repeat(q))), wmasks))
     kept = []
     for v in range(q):
         mask = None
         for digits, wmasks in held:
-            ok = [m >> v & 1 for m in wmasks]
-            if not all(ok):
-                sel = map(ok.__getitem__, digits)
-                mask = bytes(sel if mask is None else map(and_, mask, sel))
+            ok = bytes(m >> v & 1 for m in wmasks)
+            if 0 in ok:
+                sel = b"".join(ok[a:a + 1] * size for a, _, size in groups) \
+                    if digits is None else bytes(map(ok.__getitem__, digits))
+                mask = sel if mask is None else bytes(map(and_, mask, sel))
         size = len(prefixes) if mask is None else mask.count(1)
         if size:
             kept.append((v, mask, size))
@@ -166,9 +168,9 @@ def build_slice_space(
         and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
     ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
-    prefixes = [0]
+    prefixes, kept = [0], []
     for p, checks in enumerate(phases):
-        kept, prefixes = _extend_prefixes(prefixes, checks, p, q)
+        kept, prefixes = _extend_prefixes(prefixes, checks, p, q, kept)
         if steps is not None:
             steps.append(kept)
         if len(prefixes) > state_budget:
@@ -193,7 +195,7 @@ def _plan_product(
     slices: list[int],
     steps: list,
     state_budget: int,
-    quotient: bool = False,
+    record: list,
 ):
     """One vector-through-relation product as a walk over prefix x suffix
     matrices, factored over the slice cells, read off the slice listing.
@@ -214,7 +216,7 @@ def _plan_product(
     L_{w-1-p}.  A run of S_{p+1}, a maximal range with the same set of a
     for which a x' is in S_p, reads one range of each such block.  Every
     selection is None (all of its level) on hard-square and coloring;
-    dead-end prefixes, unread blocks and the quotient make the others.
+    dead-end prefixes and unread blocks make the others.
 
     Steps run on rows over suffixes before ``switch``, the first phase
     where |P_p| >= |S_p|, and on columns over prefixes from there.  A row
@@ -223,38 +225,18 @@ def _plan_product(
     size) per kept v and, per suffix of S_{p+1}, the positions in S_p it
     sums per kept v.  Input position i is read as suffix s_i, the slice
     R(s_i): the product maps u to T R u.  ``remap`` puts the output back
-    in slice order, with zeros, when P_w is not every slice.
-
-    With ``quotient``, which the caller takes only for two or more slices
-    and a class of two or more symbols (``Side.plan``), P_1 holds only
-    representatives, and the product maps a vector over the canonical
-    slices P_w to one over them (module docstring).  S_p stays the full
-    plan's (a kept v reads for its class-mates too), and the budget
-    weighs a prefix y by |class(y_0)|, so refusals do not change.  Phase 0
-    reads suffix s_i at the position of its canonical image, by index
-    lists; a slice with no image in P_w has no neighbor and reads position
-    0, which reaches no output.  Returns (steps, switch, remap, weights),
-    ``weights`` the class sizes over P_w (None without a quotient), or
-    None when a phase reaches nothing.
+    in slice order, with zeros, when P_w is not every slice.  ``record``
+    receives each phase's kept list and runs (``_quotient_plan``).  Returns
+    (steps, switch, remap, None), or None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(steps)
     last = model.allowed_masks[-1]
     reads = [[a for a in range(q) if last[a] >> v & 1] for v in range(q)]
-    reps = model.symbol_classes
-    mates = reads
-    if quotient:
-        # what v or a class-mate of v reads; v's class size; (rep(c) c) on
-        # the digits per non-representative c, and on the prefixes
-        mates = [[a for c in range(q) if reps[c] == r for a in reads[c]] for r in reps]
-        sizes = list(map(reps.count, reps))
-        swaps = {c: [c if v == reps[c] else reps[c] if v == c else v for v in range(q)]
-                 for c in range(q) if reps[c] != c}
-        mirrors = dict.fromkeys(swaps, [0])
     levels = [1, *(sum(size for _, _, size in step) for step in steps)]
     psel = ssel = None  # P_p in L_p and S_p in L_{w-p}, 0/1 bytes; None: all
     n_pre, n_suf = 1, len(slices)
-    plan, switch, remap, weights = [], w, None, None
+    plan, switch, remap = [], w, None
     for p in range(w):
         if switch == w and n_pre >= n_suf:
             switch = p
@@ -269,9 +251,7 @@ def _plan_product(
                 it = iter(seg or ())
                 tails[a] = seg if mask is None else mask if seg is None else bytes(
                     b and next(it) for b in mask)
-        readable = [v for v in range(q) if any(a in tails for a in reads[v])]
-        if quotient and p == 0:
-            readable = [v for v in readable if reps[v] == v]
+        readable = [v for v in range(q) if not tails.keys().isdisjoint(reads[v])]
         # step p on P_p: each v's mask and size, and P_{p+1} in L_{p+1}
         kept, parts = [], []
         for v, mask, full in steps[p]:
@@ -288,21 +268,9 @@ def _plan_product(
             return None
         if psel is not None or len(kept) < len(parts):
             psel = b"".join(parts)
-        n_pre = padded = sum(size for _, _, size in kept)
-        if quotient:
-            for c, swap in swaps.items():
-                images = []  # extended as the prefixes are
-                for v, mask, _ in kept:
-                    ys = mirrors[c] if mask is None else compress(mirrors[c], mask)
-                    images.extend(map(add, ys, repeat(swap[v] * q ** p)))
-                mirrors[c] = images
-            weights = [sizes[v] for v, _, _ in kept] if p == 0 else [
-                *chain.from_iterable(weights if mask is None else compress(weights, mask)
-                                     for _, mask, _ in kept)]
-            padded = sum(weights)
-        # S_{p+1}: the union of the tails of the blocks some kept v or a
-        # class-mate reads
-        firsts = sorted({a for v, _, _ in kept for a in mates[v] if a in tails})
+        n_pre = sum(size for _, _, size in kept)
+        # S_{p+1}: the union of the tails of the blocks some kept v reads
+        firsts = sorted({a for v, _, _ in kept for a in reads[v] if a in tails})
         union = [tails[a] for a in firsts]
         if ssel is not None or None not in union:
             ssel = reduce(or_, (int.from_bytes(t, "big") for t in union))
@@ -316,7 +284,7 @@ def _plan_product(
             tail = tails[a] if ssel is None else bytes(compress(tails[a], ssel))
             j = lo[a]
             ranges = [(0, n_suf)] if tail is None else map(
-                re.Match.span, re.finditer(rb"\x01+", tail))
+                re.Match.span, _ONES.finditer(tail))
             for i, stop in ranges:
                 marks.setdefault(i, {})[a] = j - i
                 marks.setdefault(stop, {})[a] = None
@@ -331,10 +299,11 @@ def _plan_product(
             for (v, _, _), runs in zip(kept, by_v):
                 runs.append((end - i, [span(i + offsets[a], end + offsets[a])
                                        for a in reads[v] if offsets.get(a) is not None]))
-        if padded * n_suf > state_budget:
+        if n_pre * n_suf > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
+        record.append((kept, by_v))
         if p < switch:
             plan.append(list(zip([mask for _, mask, _ in kept], by_v)))
         else:
@@ -346,23 +315,71 @@ def _plan_product(
                 )))
             plan.append(([(mask, size) for _, mask, size in kept], sources))
     prefixes = slices if psel is None else list(compress(slices, psel))
-    if quotient:
-        # phase 0 reads each suffix of S_0 at the position in P_w of its
-        # canonical image; with two or more slices it runs on rows
-        where = dict(zip(prefixes, count()))
-        cells = list(map(mod, prefixes, repeat(q)))
-        for c, images in mirrors.items():
-            sel = list(map(reps[c].__eq__, cells))
-            where.update(zip(compress(images, sel), compress(count(), sel)))
-        order = list(map(where.get, slices, repeat(0)))
-        plan[0] = [
-            (mask, [(size, [order[s] for s in idx]) for size, idx in runs])
-            for mask, runs in plan[0]
-        ]
-    elif prefixes != slices:
+    if prefixes != slices:
         pos = dict(zip(prefixes, count()))
         remap = list(map(pos.get, slices, repeat(len(prefixes))))
-    return plan, switch, remap, weights
+    return plan, switch, remap, None
+
+
+def _quotient_plan(model: SftModel, slices: list[int], plan: tuple, record: list):
+    """The count's plan of a side, derived from its full ``plan`` and
+    ``record``: the canonical P'_p (``canon``, in P_p) keep the kept v (only
+    representatives at phase 0), S_p and budget check, masks restricted run
+    by run.  ``taus`` holds, per y of P_p, the position x of tau y in P'_p
+    as x*q + y_0 (x on the last level), and ``tables[v]`` maps it to that
+    of tau(y + v*q^p), where phase 0 reads suffix s_i (at 0, reaching no
+    output, if s_i is not in P_w).  Its weights are the class sizes."""
+    q, reps, w = model.num_symbols, model.symbol_classes, len(record)
+    steps, switch, remap, _ = plan
+    size = q * max((sum(map(itemgetter(2), kept)) for kept, _ in record[:-1]), default=0)
+    pool, tables = list(range(size)), [[None] * size for _ in range(q)]  # stale ones go unread
+    dests = [[tables[c if u == reps[c] else reps[c] if u == c else u] for c in range(q)]
+             for u in range(q)]  # per y_0 = c, the table of u under (rep(c) c)
+    qsteps, qswitch, n_pre, n_suf = [], w, 1, len(slices)
+    for p, (kept, by_v) in enumerate(record):
+        f = q if p + 1 < w else 1
+        if p == 0:
+            keep = [reps[v] == v for v, _, _ in kept]
+            qk, firsts = list(compress(kept, keep)), [v for v, _, _ in kept if reps[v] == v]
+            canon, weights = bytes(keep), list(map(reps.count, firsts))
+            taus = [firsts.index(reps[v]) * f + v % f for v, _, _ in kept]
+        else:
+            qk, keep, reads, canons, parts, at = [], [], [], [], [], 0
+            for u, mask, _ in kept:
+                bits, src, x, end, start, count = [], [], 0, 0, at, canon.count
+                for i, j in [(0, len(canon))] if mask is None else map(
+                        re.Match.span, _ONES.finditer(mask)):
+                    gap, k = count(1, end, i), count(1, i, j)
+                    x, xq, af = x + gap, (x + gap) * q, at * f
+                    for c, table in enumerate(dests[u]):  # y at x, y_0 = c
+                        table[xq + c:xq + k * q + c:q] = pool[af + c % f:af + k * f + c % f:f]
+                    bits += bytes(gap), b"\1" * k
+                    src.append(taus[i:j])
+                    canons.append(canon[i:j])
+                    parts.append(weights[x:x + k])
+                    x, at, end = x + k, at + k, j
+                reads.append((tables[u], [*chain.from_iterable(src)]))
+                keep.append(at > start)
+                if at > start:
+                    bits.append(bytes(count(1, end)))
+                    qk.append((u, None if mask is None else b"".join(bits), at - start))
+            taus = [*chain.from_iterable(itemgetter(*idx)(table) if len(idx) > 1 else
+                                         map(table.__getitem__, idx) for table, idx in reads)]
+            canon, weights = b"".join(canons), [*chain.from_iterable(parts)]
+        qswitch = p if qswitch == w and n_pre >= n_suf else qswitch
+        n_pre, n_suf = len(weights), sum(size for size, _ in by_v[0])
+        if p >= qswitch:  # the full plan's columns, for the kept v
+            qsteps.append((list(map(itemgetter(1, 2), qk)), steps[p][1] if all(keep) else
+                           list(map(tuple, map(compress, steps[p][1], repeat(keep))))))
+            continue
+        runs = compress(by_v, keep) if p < switch else [  # ranges to slices
+            [(size, [slice(r.start, r.stop) for r in idx]) for size, idx in rs]
+            for rs in compress(by_v, keep)]
+        qsteps.append(list(zip(map(itemgetter(1), qk), runs)))
+    order = taus if remap is None else list(map([*taus, 0].__getitem__, remap))
+    qsteps[0] = [(mask, [(size, list(map(order.__getitem__, idx))) for size, idx in runs])
+                 for mask, runs in qsteps[0]]
+    return qsteps, qswitch, None, weights
 
 
 def _rows_step(rows: list, step: list) -> list:
@@ -419,13 +436,13 @@ class Side:
     and the per-state table of side n share within one run.
 
     ``slices()`` lists the slices once (``build_slice_space``), keeping
-    them and each listing step's (v, mask, size); ``plan(quotient)`` reads
-    the plan of each kind off them once (``_plan_product``).
+    them and each listing step; ``plan(quotient)`` reads the full plan off
+    them once (``_plan_product``) and derives the count's from it once.
     ``count_patterns`` and ``state_counts`` check their own budgets on a
     side passed to them.
     """
 
-    __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_plans")
+    __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_record", "_plans")
 
     def __init__(self, model: SftModel, n: int, state_budget: int = DEFAULT_STATE_BUDGET):
         self.model = model
@@ -438,24 +455,25 @@ class Side:
         """The slices of side n, ascending."""
         if self._slices is None:
             model, n = self.model, self.n
-            self._steps = []
+            self._steps, self._record = [], []
             self._slices = build_slice_space(model, n, _phase_checks(model, n),
                                              self.state_budget, self._steps)
         return self._slices
 
     def plan(self, quotient: bool):
         """The plan of side n's product, n >= 2 (None when the product of
-        any vector is 0), on the canonical slices with ``quotient`` (see
-        ``_plan_product``).  The quotient is taken only for two or more
-        slices and a class of two or more symbols; otherwise the full plan
-        serves both kinds."""
-        model, slices = self.model, self.slices()
-        quotient = (quotient and len(slices) > 1
+        any vector is 0), on the canonical slices with ``quotient``, which
+        is taken only for two or more slices and a class of two or more
+        symbols; otherwise the full plan serves both kinds."""
+        model, slices, plans = self.model, self.slices(), self._plans
+        if False not in plans:
+            plans[False] = _plan_product(model, self.n, slices, self._steps,
+                                         self.state_budget, self._record)
+        quotient = (quotient and len(slices) > 1 and plans[False] is not None
                     and model.symbol_classes != tuple(range(model.num_symbols)))
-        if quotient not in self._plans:
-            self._plans[quotient] = _plan_product(model, self.n, slices, self._steps,
-                                                  self.state_budget, quotient)
-        return self._plans[quotient]
+        if quotient not in plans:
+            plans[True] = _quotient_plan(model, slices, plans[False], self._record)
+        return plans[quotient]
 
 
 def _side(model: SftModel, n: int, state_budget: int, side: Side | None) -> Side:

@@ -34,9 +34,9 @@ def test_side_timings_script():
     proc = run_script("side_timings.py", "hard-square", "2", "2-3,5", "1")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    # side, slice count (F(n+2) on hard-square d=2), then four timings
+    # side, slice count (F(n+2) on hard-square d=2), then five timings
     assert [row[:2] for row in rows] == [["2", "3"], ["3", "5"], ["5", "13"]]
-    assert all(len(row) == 6 for row in rows)
+    assert all(len(row) == 7 for row in rows)
     proc = run_script("side_timings.py", "coloring:3", "2", "3", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].split()[:2] == ["3", "12"]

@@ -229,8 +229,9 @@ def test_slice_budget_refused_before_any_product(
 
 
 def spy_on_sides(monkeypatch):
-    """Count, per (dimension, side), the slice lists made, and per
-    (dimension, side, kind) the plans made, kind "quotient" or "full"."""
+    """Count, per (dimension, side), the slice lists made and the planner
+    runs (``_plan_product``; a quotient plan is derived from its side's
+    full plan, with no planner run of its own)."""
     import sftbounds.transfer as transfer_mod
 
     real_plan, real_space = transfer_mod._plan_product, transfer_mod.build_slice_space
@@ -241,10 +242,8 @@ def spy_on_sides(monkeypatch):
         return real_space(model, n, *args)
 
     def plan_spy(model, n, *args):
-        plan = real_plan(model, n, *args)
-        kind = "full" if plan is None or plan[3] is None else "quotient"
-        plans[model.dimension, n, kind] += 1
-        return plan
+        plans[model.dimension, n] += 1
+        return real_plan(model, n, *args)
 
     monkeypatch.setattr(transfer_mod, "build_slice_space", space_spy)
     monkeypatch.setattr(transfer_mod, "_plan_product", plan_spy)
@@ -257,41 +256,36 @@ def test_report_plans_each_side_once(monkeypatch, hard_square2, coloring3_d2):
     # sides 1..9 are counted and sides 1..5 tabled: the table's plan is
     # the count's (hard-square has no class of two symbols)
     assert {n: c for (d, n), c in spaces.items() if d == 2} == dict.fromkeys(range(1, 10), 1)
-    assert {(n, kind): c for (d, n, kind), c in plans.items() if d == 2} == {
-        (n, "full"): 1 for n in range(2, 10)
-    }
+    assert {n: c for (d, n), c in plans.items() if d == 2} == dict.fromkeys(range(2, 10), 1)
     # nothing is kept across calls: a second report plans as much again
     first = (Counter(spaces), Counter(plans))
     spaces.clear()
     plans.clear()
     build_report(hard_square2, 8)
     assert (spaces, plans) == first
-    # coloring:3: one slice list per side, the count's quotient plan, and
-    # one full plan per tabled side (sides 1..7 counted, 1..4 tabled)
+    # coloring:3: one slice list and one planner run per counted side
+    # (sides 1..7 counted, 1..4 tabled), the count's quotient plan derived
+    # from the full plan that the table uses
     spaces.clear()
     plans.clear()
     build_report(coloring3_d2, 6)
     assert {n: c for (d, n), c in spaces.items() if d == 2} == dict.fromkeys(range(1, 8), 1)
-    assert {(n, kind): c for (d, n, kind), c in plans.items() if d == 2} == {
-        **{(n, "quotient"): 1 for n in range(2, 8)},
-        **{(n, "full"): 1 for n in range(2, 5)},
-    }
+    assert {n: c for (d, n), c in plans.items() if d == 2} == dict.fromkeys(range(2, 8), 1)
 
 
 def test_verify_shares_side_n(monkeypatch):
     from sftbounds.cli import main
 
     spaces, plans = spy_on_sides(monkeypatch)
-    for model, kinds in (("hard-square", ["full"]), ("coloring:3", ["full", "quotient"])):
+    for model in ("hard-square", "coloring:3"):
         spaces.clear()
         plans.clear()
         argv = ["--builtin", model, "--dim", "2", "verify", "--n", "3", "--samples", "2"]
         with redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        # C_5 on side 5; C_3 and the table on one side 3
+        # C_5 on side 5; C_3 and the table on one side 3, planned once
         assert {n: c for (d, n), c in spaces.items() if d == 2} == {3: 1, 5: 1}
-        assert sorted(kind for (d, n, kind) in plans if (d, n) == (2, 3)) == kinds
-        assert set(plans.values()) == {1}
+        assert {n: c for (d, n), c in plans.items() if d == 2} == {3: 1, 5: 1}
 
 
 def test_side_is_checked_against_its_use(hard_square2, coloring3_d2):
@@ -912,8 +906,9 @@ def test_plan_matches_reference(hard_square2, hard_square3, coloring3_d2):
     # dead-end prefixes (a symbol with no neighbor along a slice axis) over
     # budgets
     for model, n in [
-        (hard_square2, 12), (coloring3_d2, 7), (hard_square3, 4),
+        (hard_square2, 12), (coloring3_d2, 7), (coloring3_d2, 11), (hard_square3, 4),
         (builtin_model("coloring", 2, 4), 5), (builtin_model("coloring", 3, 3), 3),
+        (builtin_model("coloring", 3, 3), 4),
     ]:
         assert_plan_matches_reference(model, n)
     for model, sides, budgets in [
@@ -925,6 +920,42 @@ def test_plan_matches_reference(hard_square2, hard_square3, coloring3_d2):
         for n in sides:
             for budget in [*budgets, DEFAULT_STATE_BUDGET]:
                 assert_plan_matches_reference(model, n, budget)
+
+
+def assert_listing_matches_reference(model, n):
+    """The listing reads cell p-1 off the previous step's groups; its
+    slices and steps must be the reference recursion's, level by level,
+    with a mask of None exactly when every symbol passes every check of
+    the cell (not when the symbols that fail are absent from the level)."""
+    q = model.num_symbols
+    side = Side(model, n)
+    slices = side.slices()
+    prefixes, steps = [0], []
+    for p, checks in enumerate(_phase_checks(model, n)):
+        kept, prefixes = plan_reference.extend_prefixes(prefixes, checks, p, q, range(q))
+        steps.append(kept)
+        for v, mask, _ in kept:
+            passes = all(m >> v & 1 for _, wmasks in checks for m in wmasks)
+            assert (mask is None) == passes, (model, n, p, v)
+    assert slices == prefixes
+    assert side._steps == steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_models_and_budgets())
+def test_listing_steps_match_reference_random(case):
+    assert_listing_matches_reference(*case[:2])
+
+
+def test_listing_steps_match_reference():
+    # an isolated symbol is absent from every level past the first, where
+    # a mask that fails only for it covers the level
+    for model, n in [
+        (isolated_symbol_model(2, 0), 4), (isolated_symbol_model(3, 0), 3),
+        (isolated_symbol_model(3, 1), 3), (builtin_model("coloring", 2, 3), 6),
+        (builtin_model("hard-square", 3), 3),
+    ]:
+        assert_listing_matches_reference(model, n)
 
 
 def test_plans_run_no_prefix_recursion(monkeypatch, hard_square2, coloring3_d2):
