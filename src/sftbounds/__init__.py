@@ -24,6 +24,7 @@ from .transfer import (
     count_via_transfer,
 )
 from .gluing import (
+    CountMismatchError,
     GlueError,
     GlueInput,
     glue,

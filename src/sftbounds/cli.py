@@ -21,7 +21,7 @@ import sys
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
 from .patterns import format_pattern
 from .transfer import BudgetExceededError, Side, count_patterns
-from .gluing import GlueError, glue_and_check
+from .gluing import CountMismatchError, GlueError, glue_and_check
 from .bounds import (
     build_report,
     qd_recurrence_sweep,
@@ -251,6 +251,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except GlueError as exc:
         print(f"construction failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except CountMismatchError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
 

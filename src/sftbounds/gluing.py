@@ -23,11 +23,15 @@ from .patterns import (
     restrict,
     surface_state,
 )
-from .transfer import Side, state_counts
+from .transfer import DEFAULT_STATE_BUDGET, Side, state_counts
 
 
 class GlueError(ValueError):
     """Invalid gluing input or a violated construction guarantee."""
+
+
+class CountMismatchError(RuntimeError):
+    """Two exact computations of one count disagree: a bug signal."""
 
 
 class GlueInput(_Value, frozen=True):
@@ -172,16 +176,18 @@ def verify_key_inequality(
         C_{2n-1}  >=  sum over states s of (C_n^(s)) ** (2^d),
 
     with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``,
-    the shell-keyed slice walk, on ``side`` when given (the ``Side`` the
-    count of C_n ran on).  Returns (lhs, rhs, lhs >= rhs); a False
-    is a bug signal, not a mathematical possibility.  The table's sum must
-    be ``c_n`` = C_n, counted on the canonical slices alone, or it raises.
+    the shell-keyed slice walk, on ``side`` and its budget when given (the
+    ``Side`` the count of C_n ran on).  Returns (lhs, rhs, lhs >= rhs); a
+    False is a bug signal, not a mathematical possibility, as is a table
+    that does not sum to ``c_n`` = C_n, whose plan may fan the canonical
+    slices out: that raises ``CountMismatchError``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    table = state_counts(model, n, side=side)
+    budget = DEFAULT_STATE_BUDGET if side is None else side.state_budget
+    table = state_counts(model, n, state_budget=budget, side=side)
     if sum(table.values()) != c_n:
-        raise RuntimeError(f"the per-state table of side {n} does not sum to {c_n}")
+        raise CountMismatchError(f"the per-state table of side {n} does not sum to {c_n}")
     p = 1 << model.dimension
     rhs = sum(c ** p for c in table.values())
     return c_glued, rhs, c_glued >= rhs

@@ -17,14 +17,6 @@ from functools import lru_cache
 from .models import Alphabet, SftModel, _Value
 
 
-def decode(index: int, n: int, d: int) -> tuple[int, ...]:
-    """The 0-based coordinates of the cell at a linear index."""
-    out = [0] * d
-    for k in range(d - 1, -1, -1):
-        index, out[k] = divmod(index, n)
-    return tuple(out)
-
-
 def predecessors(n: int, d: int) -> list[tuple[tuple[int, int], ...]]:
     """Per cell of the side-n cube of dimension d, in linear-index order:
     (offset, axis) for each axis k on which the cell has a predecessor,

@@ -53,12 +53,12 @@ itself (``SftModel.symbol_classes``; the smallest symbol represents its
 class).  Applied cell by cell, such a permutation commutes with T and
 fixes 1, so T^k 1 is constant on its orbits.  tau = (rep(c) c) maps the
 slices with cell 0 = c one-to-one onto the canonical ones, cell 0 =
-rep(c), so ``C_n = sum over canonical t of |class(t_0)| * v(t) * u(t)``,
-v and u the two halves of the walk, and a product reads the input at s
-from tau s.  Its plan is derived from the full plan (``_quotient_plan``).
-For coloring:q this is a q-th of the work; hard-square has no class of two
-symbols and runs the full product, as ``state_counts`` always does (its
-fields are not invariant).
+rep(c), so on such a vector a product need only compute the canonical
+entries and fan them out, slice s taking the entry of tau s: the count's
+plan (``_quotient_plan``, derived from the full plan), which like every
+plan maps vectors over the slices.  For coloring:q this is a q-th of the
+work; hard-square has no class of two symbols and runs the full product,
+as ``state_counts`` always does (its fields are not invariant).
 
 ``state_counts`` resolves the same walk by boundary state, for the key
 inequality's ``C_n^(s)``.  The shell of the side-n cube (the cells with
@@ -226,8 +226,8 @@ def _plan_product(
     sums per kept v.  Input position i is read as suffix s_i, the slice
     R(s_i): the product maps u to T R u.  ``remap`` puts the output back
     in slice order, with zeros, when P_w is not every slice.  ``record``
-    receives each phase's kept list and runs (``_quotient_plan``).  Returns
-    (steps, switch, remap, None), or None when a phase reaches nothing.
+    receives each phase's kept list (``_quotient_plan``).  Returns (steps,
+    switch, remap), or None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(steps)
@@ -303,7 +303,7 @@ def _plan_product(
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
-        record.append((kept, by_v))
+        record.append(kept)
         if p < switch:
             plan.append(list(zip([mask for _, mask, _ in kept], by_v)))
         else:
@@ -317,34 +317,34 @@ def _plan_product(
     prefixes = slices if psel is None else list(compress(slices, psel))
     if prefixes != slices:
         pos = dict(zip(prefixes, count()))
-        remap = list(map(pos.get, slices, repeat(len(prefixes))))
-    return plan, switch, remap, None
+        remap = itemgetter(*map(pos.get, slices, repeat(len(prefixes))))
+    return plan, switch, remap
 
 
-def _quotient_plan(model: SftModel, slices: list[int], plan: tuple, record: list):
-    """The count's plan of a side, derived from its full ``plan`` and
-    ``record``: the canonical P'_p (``canon``, in P_p) keep the kept v (only
-    representatives at phase 0), S_p and budget check, masks restricted run
-    by run.  ``taus`` holds, per y of P_p, the position x of tau y in P'_p
-    as x*q + y_0 (x on the last level), and ``tables[v]`` maps it to that
-    of tau(y + v*q^p), where phase 0 reads suffix s_i (at 0, reaching no
-    output, if s_i is not in P_w).  Its weights are the class sizes."""
+def _quotient_plan(model: SftModel, plan: tuple, record: list):
+    """The count's plan of a side: the full ``plan`` on the canonical
+    prefixes P'_p (``canon``, in P_p) alone, which keep the kept v (only
+    representatives at phase 0) and restrict the masks run by run; the
+    rest is the full plan's.  ``taus`` holds, per y of P_p, the position x
+    of tau y in P'_p as x*q + y_0 (x on the last level), and ``tables[v]``
+    maps it to that of tau(y + v*q^p).  ``remap`` fans the output out:
+    slice s reads tau s, or the 0 after the output if s is not in P_w."""
     q, reps, w = model.num_symbols, model.symbol_classes, len(record)
-    steps, switch, remap, _ = plan
-    size = q * max((sum(map(itemgetter(2), kept)) for kept, _ in record[:-1]), default=0)
+    steps, switch, remap = plan
+    size = q * max((sum(map(itemgetter(2), kept)) for kept in record[:-1]), default=0)
     pool, tables = list(range(size)), [[None] * size for _ in range(q)]  # stale ones go unread
     dests = [[tables[c if u == reps[c] else reps[c] if u == c else u] for c in range(q)]
              for u in range(q)]  # per y_0 = c, the table of u under (rep(c) c)
-    qsteps, qswitch, n_pre, n_suf = [], w, 1, len(slices)
-    for p, (kept, by_v) in enumerate(record):
+    qsteps = []
+    for p, kept in enumerate(record):
         f = q if p + 1 < w else 1
         if p == 0:
             keep = [reps[v] == v for v, _, _ in kept]
             qk, firsts = list(compress(kept, keep)), [v for v, _, _ in kept if reps[v] == v]
-            canon, weights = bytes(keep), list(map(reps.count, firsts))
+            canon = bytes(keep)
             taus = [firsts.index(reps[v]) * f + v % f for v, _, _ in kept]
         else:
-            qk, keep, reads, canons, parts, at = [], [], [], [], [], 0
+            qk, keep, reads, canons, at = [], [], [], [], 0
             for u, mask, _ in kept:
                 bits, src, x, end, start, count = [], [], 0, 0, at, canon.count
                 for i, j in [(0, len(canon))] if mask is None else map(
@@ -356,7 +356,6 @@ def _quotient_plan(model: SftModel, slices: list[int], plan: tuple, record: list
                     bits += bytes(gap), b"\1" * k
                     src.append(taus[i:j])
                     canons.append(canon[i:j])
-                    parts.append(weights[x:x + k])
                     x, at, end = x + k, at + k, j
                 reads.append((tables[u], [*chain.from_iterable(src)]))
                 keep.append(at > start)
@@ -365,26 +364,20 @@ def _quotient_plan(model: SftModel, slices: list[int], plan: tuple, record: list
                     qk.append((u, None if mask is None else b"".join(bits), at - start))
             taus = [*chain.from_iterable(itemgetter(*idx)(table) if len(idx) > 1 else
                                          map(table.__getitem__, idx) for table, idx in reads)]
-            canon, weights = b"".join(canons), [*chain.from_iterable(parts)]
-        qswitch = p if qswitch == w and n_pre >= n_suf else qswitch
-        n_pre, n_suf = len(weights), sum(size for size, _ in by_v[0])
-        if p >= qswitch:  # the full plan's columns, for the kept v
+            canon = b"".join(canons)
+        if p < switch:  # the full plan's runs and columns, for the kept v
+            qsteps.append([(mask, runs) for (_, mask, _), (_, runs)
+                           in zip(qk, compress(steps[p], keep))])
+        else:
             qsteps.append((list(map(itemgetter(1, 2), qk)), steps[p][1] if all(keep) else
                            list(map(tuple, map(compress, steps[p][1], repeat(keep))))))
-            continue
-        runs = compress(by_v, keep) if p < switch else [  # ranges to slices
-            [(size, [slice(r.start, r.stop) for r in idx]) for size, idx in rs]
-            for rs in compress(by_v, keep)]
-        qsteps.append(list(zip(map(itemgetter(1), qk), runs)))
-    order = taus if remap is None else list(map([*taus, 0].__getitem__, remap))
-    qsteps[0] = [(mask, [(size, list(map(order.__getitem__, idx))) for size, idx in runs])
-                 for mask, runs in qsteps[0]]
-    return qsteps, qswitch, None, weights
+    taus = taus if remap is None else remap([*taus, canon.count(1)])
+    return qsteps, switch, itemgetter(*taus)
 
 
 def _rows_step(rows: list, step: list) -> list:
-    """One prefix-major phase: per kept v and prefix, gather and add (by
-    slices, and by index lists in phase 0 of a quotient)."""
+    """One prefix-major phase: per kept v and prefix, gather (by list
+    slices) and add."""
     out = []
     for mask, groups in step:
         for row in rows if mask is None else compress(rows, mask):
@@ -392,8 +385,7 @@ def _rows_step(rows: list, step: list) -> list:
             for size, idx in groups:
                 it = None
                 for s in idx:
-                    part = row[s] if s.__class__ is slice else map(row.__getitem__, s)
-                    it = part if it is None else map(add, it, part)
+                    it = row[s] if it is None else map(add, it, row[s])
                 new.extend(repeat(0, size) if it is None else it)
             out.append(new)
     return out
@@ -416,9 +408,10 @@ def _columns_step(cols: list, step: tuple) -> list:
     return out
 
 
-def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
-    """One product planned by ``_plan_product``, on a vector over its slices."""
-    steps, switch, remap, _ = plan
+def _apply_plan(plan: tuple, vec: list[int]) -> list[int] | tuple[int, ...]:
+    """One product of either plan of a side, on a vector over its slices;
+    a remap (two or more positions) returns a tuple."""
+    steps, switch, remap = plan
     m = [vec]  # one row, for the empty prefix
     for step in steps[:switch]:
         m = _rows_step(m, step)
@@ -426,9 +419,7 @@ def _apply_plan(plan: tuple, vec: list[int]) -> list[int]:
     for step in steps[switch:]:
         m = _columns_step(m, step)
     vec = m[0]  # one column, for the empty suffix
-    if remap is not None:
-        vec = list(map([*vec, 0].__getitem__, remap))
-    return vec
+    return vec if remap is None else remap([*vec, 0])
 
 
 class Side:
@@ -437,7 +428,8 @@ class Side:
 
     ``slices()`` lists the slices once (``build_slice_space``), keeping
     them and each listing step; ``plan(quotient)`` reads the full plan off
-    them once (``_plan_product``) and derives the count's from it once.
+    them once (``_plan_product``) and derives the count's from it once
+    (``_quotient_plan``); both map vectors over the slices.
     ``count_patterns`` and ``state_counts`` check their own budgets on a
     side passed to them.
     """
@@ -462,9 +454,9 @@ class Side:
 
     def plan(self, quotient: bool):
         """The plan of side n's product, n >= 2 (None when the product of
-        any vector is 0), on the canonical slices with ``quotient``, which
-        is taken only for two or more slices and a class of two or more
-        symbols; otherwise the full plan serves both kinds."""
+        any vector is 0), which fans the canonical slices out with
+        ``quotient``, taken only for two or more slices and a class of two
+        or more symbols; otherwise the full plan serves both kinds."""
         model, slices, plans = self.model, self.slices(), self._plans
         if False not in plans:
             plans[False] = _plan_product(model, self.n, slices, self._steps,
@@ -472,7 +464,7 @@ class Side:
         quotient = (quotient and len(slices) > 1 and plans[False] is not None
                     and model.symbol_classes != tuple(range(model.num_symbols)))
         if quotient not in plans:
-            plans[True] = _quotient_plan(model, slices, plans[False], self._record)
+            plans[True] = _quotient_plan(model, plans[False], self._record)
         return plans[quotient]
 
 
@@ -491,8 +483,8 @@ def count_via_transfer(
     state_budget: int = DEFAULT_STATE_BUDGET,
     side: Side | None = None,
 ) -> int:
-    """Exact cube count via the slice decomposition, on canonical slices;
-    on ``side`` when given (see ``Side``)."""
+    """Exact cube count via the slice decomposition, on the count's plan
+    (``Side.plan``); on ``side`` when given (see ``Side``)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     side = _side(model, n, state_budget, side)
@@ -502,14 +494,12 @@ def count_via_transfer(
     plan = side.plan(quotient=True)
     if plan is None:  # the product of any vector is 0
         return 0
-    weights = plan[3]
-    v = [1] * len(slices if weights is None else weights)
+    v = [1] * len(slices)
     for _ in range((n - 1) // 2):
         v = _apply_plan(plan, v)
     # T = T^T: T^a 1 is also the first a steps of T^b 1
     u = _apply_plan(plan, v) if (n - 1) % 2 else v
-    vu = map(mul, v, u)
-    return sum(vu if weights is None else map(mul, weights, vu))
+    return sum(map(mul, v, u))
 
 
 def state_counts(

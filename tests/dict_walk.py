@@ -11,8 +11,9 @@ key by key, budget refusals included.
 
 from sftbounds import BudgetExceededError, count_patterns
 from sftbounds.models import drop_last_axis
-from sftbounds.patterns import decode
 from sftbounds.transfer import DEFAULT_STATE_BUDGET
+
+from paper_defs import decode
 
 
 def phase_checks(model, n):

@@ -6,8 +6,8 @@ by cell and compare with ``gluing.glue``, which writes the reflected
 coordinates directly.  ``extend_to_plus_one`` is the side-(n+1) extension
 that makes the counts nondecreasing from side 2 on, and
 ``leading_gap_coefficient`` the degree-(d-1) coefficient of q_d.
-``encode``, ``value_at`` and ``from_nested`` read and build patterns by
-coordinates, as the tests state them.
+``encode``, ``decode``, ``value_at`` and ``from_nested`` read and build
+patterns by coordinates, as the tests state them.
 """
 
 from fractions import Fraction
@@ -28,6 +28,14 @@ def encode(coords, n: int) -> int:
     for x in coords:
         idx = idx * n + x
     return idx
+
+
+def decode(index: int, n: int, d: int) -> tuple[int, ...]:
+    """The 0-based coordinates of the cell at a linear index."""
+    out = [0] * d
+    for k in range(d - 1, -1, -1):
+        index, out[k] = divmod(index, n)
+    return tuple(out)
 
 
 def value_at(p: CubePattern, coords) -> int:

@@ -104,20 +104,18 @@ def plan_product(
     output back in slice order, with zeros, when P_w is not every slice.
 
     With ``quotient`` and a class of two or more symbols, phase 0 keeps
-    only representatives: the product maps a vector over the canonical
-    slices P_w, in P_w order, to one in the same order (module docstring).
-    The suffixes are those read by a kept v or a class-mate, so each S_p
-    is the full plan's; a prefix y stands for |class(y_0)| prefixes of the
-    full plan, and the budget bounds that weighted count times |S_p|, the
+    only representatives, so P_w holds the canonical slices alone (module
+    docstring).  The suffixes are those read by a kept v or a class-mate,
+    so each S_p is the full plan's; a prefix y stands for |class(y_0)|
+    prefixes of the full plan, so that weighted count is the full plan's
+    |P_p|: it sets the switch, and the budget bounds it times |S_p|, the
     full plan's padded size, so refusals do not change.  The recursion
     carries each prefix's image under (rep(c) c), per non-representative
-    c, and phase 0 reads suffix s_i at the position of tau s_i, whose
-    entry is that of R(s_i) on a vector invariant under both: its gathers
-    are index lists.  A slice whose image is not in P_w has no neighbor,
-    and neither has its reflection, so what is read for it never reaches
-    an output; it reads position 0.  Returns (steps, switch, remap, weights),
-    ``weights`` the class sizes over P_w (None without a quotient), or
-    None when a phase reaches nothing.
+    c, and ``remap`` fans the output out: slice s reads the position of
+    tau s in P_w, or the 0 after the output (position |P_w|) when tau s
+    is not in P_w.  Returns (steps, switch, remap), ``remap`` None when
+    it would read every position in order, or None when a phase reaches
+    nothing.
     """
     q = model.num_symbols
     w = len(phases)
@@ -137,9 +135,10 @@ def plan_product(
     prefixes = [0]
     steps = []
     switch = w
-    remap = weights = None
+    remap = None
+    rows = 1  # the full plan's |P_p|
     for p, checks in enumerate(phases):
-        if switch == w and len(prefixes) >= len(suffixes):
+        if switch == w and rows >= len(suffixes):
             switch = p
         # a's block of the suffixes is lo[a]..lo[a+1]-1
         top = q ** (w - 1 - p)
@@ -180,7 +179,7 @@ def plan_product(
                 parts.append((end - i, [span(i + offsets[a], end + offsets[a])
                                         for a in reads[v] if offsets.get(a) is not None]))
         prefixes = new
-        padded = len(prefixes)
+        rows = len(prefixes)
         if quotient:
             for c, swap in swaps.items():
                 images = []  # extended as _extend_prefixes extends the prefixes
@@ -188,9 +187,8 @@ def plan_product(
                     ys = mirrors[c] if mask is None else compress(mirrors[c], mask)
                     images.extend(map(add, ys, repeat(swap[v] * q ** p)))
                 mirrors[c] = images
-            weights = list(map(sizes.__getitem__, map(mod, prefixes, repeat(q))))
-            padded = sum(weights)
-        if padded * len(suffixes) > state_budget:
+            rows = sum(map(sizes.__getitem__, map(mod, prefixes, repeat(q))))
+        if rows * len(suffixes) > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
@@ -204,20 +202,13 @@ def plan_product(
                     zip(*idx) if idx else repeat((), size) for size, idx in parts
                 )))
             steps.append(([(mask, size) for _, mask, size in kept], sources))
+    # each slice reads the position in P_w of its canonical image
+    where = dict(zip(prefixes, count()))
     if quotient:
-        # phase 0 reads each suffix of S_0 at the position in P_w of its
-        # canonical image; with two or more slices it runs on rows
-        where = dict(zip(prefixes, count()))
         cells = list(map(mod, prefixes, repeat(q)))
         for c, images in mirrors.items():
             sel = list(map(reps[c].__eq__, cells))
             where.update(zip(compress(images, sel), compress(count(), sel)))
-        order = list(map(where.get, slices, repeat(0)))
-        steps[0] = [
-            (mask, [(size, [order[s] for s in idx]) for size, idx in parts])
-            for mask, parts in steps[0]
-        ]
-    elif prefixes != slices:
-        pos = dict(zip(prefixes, count()))
-        remap = list(map(pos.get, slices, repeat(len(prefixes))))
-    return steps, switch, remap, weights
+    if quotient or prefixes != slices:
+        remap = list(map(where.get, slices, repeat(len(prefixes))))
+    return steps, switch, remap

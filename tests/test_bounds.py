@@ -17,7 +17,8 @@ from sftbounds import (
     verify_power_mean_bound,
     verify_qd_recurrence,
 )
-from sftbounds.bounds import log_count
+from sftbounds.bounds import log_count, side_checks
+from sftbounds.transfer import Side
 
 from conftest import forbid_axis_model, full_shift, single_symbol_forced
 from paper_defs import leading_gap_coefficient
@@ -274,6 +275,18 @@ def test_report_key_inequality_on_every_row_with_c_glued(hard_square2):
     report = build_report(hard_square2, 14)
     flags = [r.checks.key_inequality for r in report.rows]
     assert flags == [True] * 8 + [None] * 6
+
+
+def test_side_checks_table_takes_the_sides_budget(hard_square2):
+    # the table of a side given runs at that side's budget, not the default
+    verdicts = [ok for _, _, ok, _ in side_checks(hard_square2, 3, 63, 55447)]
+    assert verdicts == [True, True, True]
+    own = side_checks(hard_square2, 3, 63, 55447, Side(hard_square2, 3, 1000))
+    assert [ok for _, _, ok, _ in own] == verdicts
+    c_5, c_9 = count_patterns(hard_square2, 5), count_patterns(hard_square2, 9)
+    name, row, ok, line = side_checks(hard_square2, 5, c_5, c_9, Side(hard_square2, 5, 100))[0]
+    assert (name, row, ok) == ("key_inequality", 5, None)
+    assert line == "more than 100 boundary-state keys at side 5"
 
 
 def test_report_key_check_over_budget_leaves_the_rest(monkeypatch, hard_square2):

@@ -191,6 +191,28 @@ def test_verify_refused_table_exits_two(capsys, monkeypatch):
     assert out == ""
 
 
+def test_table_that_misses_the_count_exits_three(capsys, monkeypatch):
+    # the table/count cross-check is a bug signal: one stderr line, no
+    # traceback, the verification exit code, in both commands that run it
+    import sftbounds.gluing as gluing_mod
+
+    real = gluing_mod.state_counts
+
+    def short(model, n, **shared):
+        table = real(model, n, **shared)
+        table.popitem()
+        return table
+
+    monkeypatch.setattr(gluing_mod, "state_counts", short)
+    for command, side, count in [(("verify", "--n", "3"), 3, 63),
+                                 (("bounds", "--n-max", "4"), 1, 2)]:
+        code, out, err = run_cli(capsys, "--builtin", "hard-square", "--dim", "2", *command)
+        assert code == 3
+        assert err == (f"verification failure: the per-state table of side {side} "
+                       f"does not sum to {count}\n")
+        assert out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_rejects_samples_below_one(capsys, samples):
     code, out, err = run_cli(

@@ -48,6 +48,45 @@ def test_every_export_is_used_in_the_package():
     assert sorted(exported - used) == []
 
 
+# Public names no package code reads, which ``bench/spans.py`` ``TRACED``
+# still pins by module.
+TRACED_ONLY = {"count_patterns_dfs", "enumerate_patterns", "count_by_state"}
+
+
+def test_every_public_name_is_exported_or_used():
+    # a public top-level name that the package neither exports nor reads
+    # is test-only API, which belongs under tests/
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    init = trees.pop("__init__")
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names if not name.startswith("_")
+                       and name not in exported | read | TRACED_ONLY]
+    assert unread == []
+
+
 def _after_cli_import(expr: str) -> str:
     """``expr`` printed by a fresh interpreter right after ``import
     sftbounds.cli``; ``before`` holds the modules loaded until then."""

@@ -22,7 +22,7 @@ from sftbounds import (
 )
 from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
 from sftbounds.models import drop_last_axis
-from sftbounds.patterns import decode, surface_indices
+from sftbounds.patterns import surface_indices
 from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
     Side,
@@ -40,6 +40,7 @@ from conftest import (
     single_symbol_forced,
 )
 from dict_walk import advance, phase_checks, slices_by_walk, state_counts_by_groups
+from paper_defs import decode
 import plan_reference
 
 DEFAULT_EDGE_BUDGET = 2_000_000
@@ -523,7 +524,7 @@ class PlannedProduct:
 
     def factor_sizes(self):
         """(|P_p|, |S_p|) after each phase, read off the plan's steps."""
-        steps, switch, _, _ = self.plan
+        steps, switch, _ = self.plan
         sizes = []
         rows = 1
         for p, step in enumerate(steps):
@@ -536,6 +537,13 @@ class PlannedProduct:
                 cols = len(sources)
             sizes.append((rows, cols))
         return sizes
+
+
+def remap_positions(plan, slices):
+    """The positions the remap gather of ``plan`` reads, from a vector
+    over some of ``slices`` and a 0 after it; None without a remap."""
+    remap = plan[2]
+    return None if remap is None else list(remap(range(len(slices) + 1)))
 
 
 def assert_planned_matches_advance(model, n, exact_padding=False):
@@ -609,7 +617,7 @@ def phase_runs(plan):
     A row step lists one group per run, and every gather is a slice; a
     column step lists per suffix its source positions, which a run
     continues one position on."""
-    steps, switch, _, _ = plan
+    steps, switch, _ = plan
     runs = []
     for p, step in enumerate(steps[1:], 1):
         if p < switch:
@@ -637,11 +645,10 @@ def test_planned_product_gathers_runs_by_slices(hard_square2, coloring3_d2):
         for quotient in (False, True):
             plan = PlannedProduct(model, n, quotient).plan
             assert phase_runs(plan) == [per_phase] * (n - 2) + [1], (model, n)
-            if plan[3] is None:
-                # the full plan reads the input as S_0 itself: phase 0
-                # gathers by slices too
-                gathers = [s for _, groups in plan[0][0] for _, idx in groups for s in idx]
-                assert gathers and all(isinstance(s, slice) for s in gathers), (model, n)
+            # both plans read the input as S_0 itself: phase 0 gathers by
+            # slices too
+            gathers = [s for _, groups in plan[0][0] for _, idx in groups for s in idx]
+            assert gathers and all(isinstance(s, slice) for s in gathers), (model, n)
 
 
 def isolated_symbol_model(d, axis):
@@ -732,25 +739,25 @@ def test_compiled_budget_refusals_match_dict_path(
 def assert_quotient_matches(model, n, expected=None):
     """The count on class representatives against the dict walk's half
     walk (and ``expected``, when given); its plan against the full plan:
-    the same suffixes at every phase and the same budget refusals."""
+    both map T^k 1 (k < n) to the same vector over every slice, and
+    refuse the same budgets."""
     count = count_via_transfer(model, n)
     assert count == dict_half_walk(model, n, DEFAULT_STATE_BUDGET), (model, n)
     if expected is not None:
         assert count == expected, (model, n)
-    full = PlannedProduct(model, n)
-    canonical = PlannedProduct(model, n, quotient=True)
-    if full.plan is None:
-        assert canonical.plan is None
+    side = Side(model, n)
+    slices, full, canonical = side.slices(), side.plan(False), side.plan(True)
+    if full is None:
+        assert canonical is None
         return
-    sizes = full.factor_sizes()
-    assert [cols for _, cols in canonical.factor_sizes()] == [c for _, c in sizes]
-    weights = canonical.plan[3]
-    if weights is None:  # no class of two symbols, or a single slice
-        assert canonical.plan == full.plan
-        return
-    # the weighted canonical slices are the full plan's last prefixes
-    assert sum(weights) == sizes[-1][0]
-    padded = max(rows * cols for rows, cols in sizes)
+    assert len(canonical) == len(full) == 3 and canonical[1] == full[1]  # the switch
+    vec = [1] * len(slices)
+    for k in range(n):
+        out = _apply_plan(full, vec)
+        got = _apply_plan(canonical, vec)
+        assert len(got) == len(out) == len(slices) and list(got) == list(out), (model, n, k)
+        vec = list(out)
+    padded = max(rows * cols for rows, cols in PlannedProduct(model, n).factor_sizes())
     for budget in (padded - 1, padded):
         assert refusal(model, n, budget, False) == refusal(model, n, budget, True)
 
@@ -794,12 +801,14 @@ def test_quotient_on_uneven_classes():
         assert_quotient_matches(model, n, count_patterns_dfs(model, n))
     for n in range(4, 6):
         assert_quotient_matches(model, n)
-    # per canonical slice, the weight of its first cell's class
-    weights = PlannedProduct(model, 3, quotient=True).plan[3]
-    assert sorted(set(weights)) == [1, 2]
+    # the fan-out sends each canonical slice to its class's orbit: the
+    # class of its first cell, {a, b} or one symbol
+    canonical = PlannedProduct(model, 3, quotient=True)
+    fan_out = Counter(remap_positions(canonical.plan, canonical.slices))
+    assert sorted(set(fan_out.values())) == [1, 2]
     # c has no neighbor along axis 2, so no slice holding a c has one:
-    # their images are not among the plan's canonical slices, and what
-    # phase 0 reads for them (position 0) never reaches an output
+    # their images are not among the plan's canonical slices, and the
+    # fan-out sends them to the 0 after the output
     every_c = [["c", s] for s in "abc"] + [["a", "c"], ["b", "c"]]
     doc = {
         "dimension": 2,
@@ -811,7 +820,13 @@ def test_quotient_on_uneven_classes():
     for n in range(1, 5):
         assert_quotient_matches(model, n, count_patterns_dfs(model, n))
     canonical = PlannedProduct(model, 4, quotient=True)
-    assert 2 * len(canonical.plan[3]) < len(canonical.slices)
+    positions = remap_positions(canonical.plan, canonical.slices)
+    sentinel = max(positions)  # the number of canonical slices
+    assert 2 * sentinel < len(canonical.slices)
+    holds_c = [any(s // 3 ** j % 3 == 2 for j in range(4)) for s in canonical.slices]
+    assert [p == sentinel for p in positions] == holds_c
+    out = _apply_plan(canonical.plan, [1] * len(canonical.slices))
+    assert [c == 0 for c in out] == holds_c
 
 
 def test_quotient_needs_every_axis():
@@ -856,8 +871,11 @@ def test_quotient_plan_sizes(hard_square2, coloring3_d2):
 
 
 def side_plan(model, n, budget, quotient):
-    """The plan of side n as ``Side`` makes it, off the slice listing."""
-    return Side(model, n, budget).plan(quotient)
+    """The plan of side n as ``Side`` makes it, off the slice listing,
+    with its remap as the positions it reads."""
+    side = Side(model, n, budget)
+    plan = side.plan(quotient)
+    return plan and (*plan[:2], remap_positions(plan, side.slices()))
 
 
 def reference_plan(model, n, budget, quotient):
@@ -869,8 +887,8 @@ def reference_plan(model, n, budget, quotient):
 
 
 def assert_plan_matches_reference(model, n, budget=DEFAULT_STATE_BUDGET):
-    """Both kinds of plan equal the reference's: steps, switch, remap and
-    weights, or the same refusal text."""
+    """Both kinds of plan equal the reference's: steps, switch and remap,
+    or the same refusal text."""
     for quotient in (False, True):
         got = outcome(side_plan, model, n, budget, quotient)
         assert got == outcome(reference_plan, model, n, budget, quotient), (
