@@ -64,7 +64,7 @@ def load_model(args) -> SftModel:
         try:
             with open(args.model, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(EXIT_USAGE, f"cannot read {args.model}: {exc}") from None
         return parse_model(text)
     name, colon, param = args.builtin.partition(":")
@@ -160,6 +160,8 @@ def cmd_verify(model: SftModel, args) -> int:
         raise CliError(EXIT_USAGE, "verify needs --n >= 2")
     if args.samples < 1:
         raise CliError(EXIT_USAGE, "verify needs --samples >= 1")
+    if args.format == "csv":
+        raise CliError(EXIT_USAGE, "verify prints --format human or json, not csv")
     n = args.n
     # the count and the table of side n share one Side
     c_glued = count_patterns(model, 2 * n - 1)
@@ -206,6 +208,8 @@ def cmd_glue_demo(model: SftModel, args) -> int:
         raise CliError(EXIT_USAGE, "glue-demo supports dimension 2 or 3")
     if args.n < 2:
         raise CliError(EXIT_USAGE, "glue-demo needs --n >= 2")
+    if args.format != "human":
+        raise CliError(EXIT_USAGE, f"glue-demo prints --format human, not {args.format}")
     rng = random.Random(args.seed)
     group = sample_same_state_group(model, args.n, 1 << model.dimension, rng)
     alphabet = model.alphabet

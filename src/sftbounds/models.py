@@ -204,6 +204,8 @@ def parse_model(text: str) -> SftModel:
         raise ModelFormatError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ModelFormatError("the document is nested too deeply") from None
     return model_from_doc(doc)
 
 

@@ -19,7 +19,8 @@ last-axis test only the first digit of x, so the phase's vector is a
 matrix over prefixes x suffixes, as Python lists, and the phase maps rows
 (or columns) to rows (or columns) by C-level gathers and adds, one per
 row and symbol rather than one per state (``_apply_plan``).  Every
-product of a side shares one plan (``_plan_product``).
+product of a side shares one plan (``_plan_product``), whose phases are
+pairs (kept, gathers): the kept symbols' masks, and the row or column gathers.
 
 The plan reads its lists off the slice listing.  The slices are the
 prefixes of full length, listed level by level by one prefix recursion
@@ -37,8 +38,8 @@ few ranges, each gathered as one list slice.  Position i of the input
 stands for R(s_i), so a product computes T R, which is T on every
 R-invariant vector, as every T^k 1 is.  For d >= 2 the slice count, the
 sub-model's C_n (by this same transfer, one dimension down), is checked
-against the budget before the listing, unless the q^w fillings of a
-slice of w cells fit it.
+against the budget before the listing and its cells' checks, unless
+the q^w fillings of a slice of w cells fit it.
 
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <T^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``, since
@@ -55,8 +56,9 @@ fixes 1, so T^k 1 is constant on its orbits.  tau = (rep(c) c) maps the
 slices with cell 0 = c one-to-one onto the canonical ones, cell 0 =
 rep(c), so on such a vector a product need only compute the canonical
 entries and fan them out, slice s taking the entry of tau s: the count's
-plan (``_quotient_plan``, derived from the full plan), which like every
-plan maps vectors over the slices.  For coloring:q this is a q-th of the
+plan (``_quotient_plan``) is the full plan with every mask narrowed to
+the canonical prefixes, over the full plan's own gathers, and like it
+maps vectors over the slices.  For coloring:q this is a q-th of the
 work; hard-square has no class of two symbols and runs the full product,
 as ``state_counts`` always does (its fields are not invariant).
 
@@ -148,7 +150,6 @@ def _extend_prefixes(
 def build_slice_space(
     model: SftModel,
     n: int,
-    phases: list,
     state_budget: int = DEFAULT_STATE_BUDGET,
     steps: list | None = None,
 ) -> list[int]:
@@ -156,20 +157,22 @@ def build_slice_space(
 
     The slices are the prefixes of full length, listed by the prefix
     recursion (``_extend_prefixes``), whose steps' (v, mask, size)
-    lists are appended to ``steps`` when given.  Each level is checked
-    against ``state_budget``, and for d >= 2 the slice count (the
-    sub-model's C_n) first, unless the q^w fillings of a slice fit the
-    budget, when no level can exceed it.
+    lists are appended to ``steps`` when given.  For d >= 2 the slice
+    count (the sub-model's C_n) is checked against ``state_budget``
+    first, unless the q^w fillings of a slice fit the budget, when no
+    level can exceed it; only then are the cells' checks built, and each
+    level is checked against the budget.
     """
-    q = model.num_symbols
+    q, w = model.num_symbols, n ** (model.dimension - 1)
+    # q^w > budget without a huge power: for q >= 2 both hold from w = bit length on
     if (
         model.dimension > 1
-        and q ** len(phases) > state_budget
+        and q ** min(w, state_budget.bit_length()) > state_budget
         and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
     ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
     prefixes, kept = [0], []
-    for p, checks in enumerate(phases):
+    for p, checks in enumerate(_phase_checks(model, n)):
         kept, prefixes = _extend_prefixes(prefixes, checks, p, q, kept)
         if steps is not None:
             steps.append(kept)
@@ -195,7 +198,6 @@ def _plan_product(
     slices: list[int],
     steps: list,
     state_budget: int,
-    record: list,
 ):
     """One vector-through-relation product as a walk over prefix x suffix
     matrices, factored over the slice cells, read off the slice listing.
@@ -218,16 +220,17 @@ def _plan_product(
     selection is None (all of its level) on hard-square and coloring;
     dead-end prefixes and unread blocks make the others.
 
-    Steps run on rows over suffixes before ``switch``, the first phase
-    where |P_p| >= |S_p|, and on columns over prefixes from there.  A row
-    step lists, per kept v, its mask over P_p (None: all) and, per run,
-    its size and the slices of S_p it sums; a column step, (mask, output
-    size) per kept v and, per suffix of S_{p+1}, the positions in S_p it
-    sums per kept v.  Input position i is read as suffix s_i, the slice
+    Every phase is a pair (kept, gathers).  ``kept`` lists (v, mask,
+    size) per kept v: the mask over P_p of the prefixes that take v (None:
+    all) and the size of v's part of P_{p+1}.  Phases before ``switch``,
+    the first where |P_p| >= |S_p|, run on rows over suffixes, and their
+    ``gathers`` list per kept v its runs, each its size and the slices of
+    S_p it sums; from ``switch`` on they run on columns over prefixes, and
+    ``gathers`` lists per suffix of S_{p+1} the positions in S_p it sums
+    per kept v.  Input position i is read as suffix s_i, the slice
     R(s_i): the product maps u to T R u.  ``remap`` puts the output back
-    in slice order, with zeros, when P_w is not every slice.  ``record``
-    receives each phase's kept list (``_quotient_plan``).  Returns (steps,
-    switch, remap), or None when a phase reaches nothing.
+    in slice order, with zeros, when P_w is not every slice.  Returns
+    (phases, switch, remap), or None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(steps)
@@ -236,7 +239,7 @@ def _plan_product(
     levels = [1, *(sum(size for _, _, size in step) for step in steps)]
     psel = ssel = None  # P_p in L_p and S_p in L_{w-p}, 0/1 bytes; None: all
     n_pre, n_suf = 1, len(slices)
-    plan, switch, remap = [], w, None
+    phases, switch, remap = [], w, None
     for p in range(w):
         if switch == w and n_pre >= n_suf:
             switch = p
@@ -291,60 +294,54 @@ def _plan_product(
                 j += stop - i
         # per kept v and run: its size and the ranges of S_p it sums
         span = slice if p < switch else range
-        by_v = [[] for _ in kept]
+        gathers = [[] for _ in kept]
         cuts = sorted(marks)
         offsets = {}
         for i, end in zip(cuts, cuts[1:]):
             offsets.update(marks[i])
-            for (v, _, _), runs in zip(kept, by_v):
+            for (v, _, _), runs in zip(kept, gathers):
                 runs.append((end - i, [span(i + offsets[a], end + offsets[a])
                                        for a in reads[v] if offsets.get(a) is not None]))
         if n_pre * n_suf > state_budget:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
-        record.append(kept)
-        if p < switch:
-            plan.append(list(zip([mask for _, mask, _ in kept], by_v)))
-        else:
-            # per new suffix, the source positions per kept v
-            sources = []
-            for runs in zip(*by_v):
-                sources.extend(zip(*(
-                    zip(*idx) if idx else repeat((), size) for size, idx in runs
-                )))
-            plan.append(([(mask, size) for _, mask, size in kept], sources))
+        if p >= switch:  # per new suffix instead, the source positions per kept v
+            gathers = [srcs for runs in zip(*gathers) for srcs in zip(*(
+                zip(*idx) if idx else repeat((), size) for size, idx in runs))]
+        phases.append((kept, gathers))
     prefixes = slices if psel is None else list(compress(slices, psel))
     if prefixes != slices:
         pos = dict(zip(prefixes, count()))
         remap = itemgetter(*map(pos.get, slices, repeat(len(prefixes))))
-    return plan, switch, remap
+    return phases, switch, remap
 
 
-def _quotient_plan(model: SftModel, plan: tuple, record: list):
-    """The count's plan of a side: the full ``plan`` on the canonical
-    prefixes P'_p (``canon``, in P_p) alone, which keep the kept v (only
-    representatives at phase 0) and restrict the masks run by run; the
-    rest is the full plan's.  ``taus`` holds, per y of P_p, the position x
-    of tau y in P'_p as x*q + y_0 (x on the last level), and ``tables[v]``
-    maps it to that of tau(y + v*q^p).  ``remap`` fans the output out:
-    slice s reads tau s, or the 0 after the output if s is not in P_w."""
-    q, reps, w = model.num_symbols, model.symbol_classes, len(record)
-    steps, switch, remap = plan
-    size = q * max((sum(map(itemgetter(2), kept)) for kept in record[:-1]), default=0)
+def _quotient_plan(model: SftModel, plan: tuple):
+    """The count's plan of a side: the full ``plan`` with each mask
+    narrowed run by run to the canonical prefixes P'_p (``canon``, in
+    P_p), a v that none takes (at phase 0, a v that represents no class)
+    to all zeros and size 0; the v's, ``gathers`` and switch are the full
+    plan's.  ``taus`` holds, per y of P_p, the position x of tau y in P'_p
+    as x*q + y_0 (x on the last level), and ``tables[v]`` maps it to that
+    of tau(y + v*q^p).  ``remap`` fans the output out: slice s reads tau
+    s, or the 0 after the output if s is not in P_w."""
+    phases, switch, remap = plan
+    q, reps, w = model.num_symbols, model.symbol_classes, len(phases)
+    size = q * max((sum(map(itemgetter(2), kept)) for kept, _ in phases[:-1]), default=0)
     pool, tables = list(range(size)), [[None] * size for _ in range(q)]  # stale ones go unread
     dests = [[tables[c if u == reps[c] else reps[c] if u == c else u] for c in range(q)]
              for u in range(q)]  # per y_0 = c, the table of u under (rep(c) c)
-    qsteps = []
-    for p, kept in enumerate(record):
+    narrowed = []
+    for p, (kept, gathers) in enumerate(phases):
         f = q if p + 1 < w else 1
         if p == 0:
-            keep = [reps[v] == v for v, _, _ in kept]
-            qk, firsts = list(compress(kept, keep)), [v for v, _, _ in kept if reps[v] == v]
-            canon = bytes(keep)
+            canon = bytes(reps[v] == v for v, _, _ in kept)
+            firsts = [v for v, _, _ in kept if reps[v] == v]
+            qk = [(v, mask, k) if reps[v] == v else (v, b"\0", 0) for v, mask, k in kept]
             taus = [firsts.index(reps[v]) * f + v % f for v, _, _ in kept]
         else:
-            qk, keep, reads, canons, at = [], [], [], [], 0
+            qk, reads, canons, at = [], [], [], 0
             for u, mask, _ in kept:
                 bits, src, x, end, start, count = [], [], 0, 0, at, canon.count
                 for i, j in [(0, len(canon))] if mask is None else map(
@@ -358,28 +355,22 @@ def _quotient_plan(model: SftModel, plan: tuple, record: list):
                     canons.append(canon[i:j])
                     x, at, end = x + k, at + k, j
                 reads.append((tables[u], [*chain.from_iterable(src)]))
-                keep.append(at > start)
-                if at > start:
-                    bits.append(bytes(count(1, end)))
-                    qk.append((u, None if mask is None else b"".join(bits), at - start))
+                bits.append(bytes(count(1, end)))
+                qk.append((u, None if mask is None else b"".join(bits), at - start))
             taus = [*chain.from_iterable(itemgetter(*idx)(table) if len(idx) > 1 else
                                          map(table.__getitem__, idx) for table, idx in reads)]
             canon = b"".join(canons)
-        if p < switch:  # the full plan's runs and columns, for the kept v
-            qsteps.append([(mask, runs) for (_, mask, _), (_, runs)
-                           in zip(qk, compress(steps[p], keep))])
-        else:
-            qsteps.append((list(map(itemgetter(1, 2), qk)), steps[p][1] if all(keep) else
-                           list(map(tuple, map(compress, steps[p][1], repeat(keep))))))
+        narrowed.append((qk, gathers))
     taus = taus if remap is None else remap([*taus, canon.count(1)])
-    return qsteps, switch, itemgetter(*taus)
+    return narrowed, switch, itemgetter(*taus)
 
 
-def _rows_step(rows: list, step: list) -> list:
-    """One prefix-major phase: per kept v and prefix, gather (by list
-    slices) and add."""
+def _rows_step(rows: list, phase: tuple) -> list:
+    """One prefix-major phase: per kept v, on the prefixes its mask
+    takes, gather (by list slices) and add."""
+    kept, gathers = phase
     out = []
-    for mask, groups in step:
+    for (_, mask, _), groups in zip(kept, gathers):
         for row in rows if mask is None else compress(rows, mask):
             new = []
             for size, idx in groups:
@@ -391,14 +382,14 @@ def _rows_step(rows: list, step: list) -> list:
     return out
 
 
-def _columns_step(cols: list, step: tuple) -> list:
+def _columns_step(cols: list, phase: tuple) -> list:
     """One suffix-major phase: per new suffix and kept v, add the source
-    columns on the prefixes that take v."""
-    kept, sources = step
+    columns on the prefixes that v's mask takes."""
+    kept, sources = phase
     out = []
     for srcs in sources:
         new = []
-        for (mask, size), js in zip(kept, srcs):
+        for (_, mask, size), js in zip(kept, srcs):
             it = None
             for j in js:
                 col = cols[j] if mask is None else compress(cols[j], mask)
@@ -411,13 +402,13 @@ def _columns_step(cols: list, step: tuple) -> list:
 def _apply_plan(plan: tuple, vec: list[int]) -> list[int] | tuple[int, ...]:
     """One product of either plan of a side, on a vector over its slices;
     a remap (two or more positions) returns a tuple."""
-    steps, switch, remap = plan
+    phases, switch, remap = plan
     m = [vec]  # one row, for the empty prefix
-    for step in steps[:switch]:
-        m = _rows_step(m, step)
+    for phase in phases[:switch]:
+        m = _rows_step(m, phase)
     m = list(zip(*m))  # rows over suffixes to columns over prefixes
-    for step in steps[switch:]:
-        m = _columns_step(m, step)
+    for phase in phases[switch:]:
+        m = _columns_step(m, phase)
     vec = m[0]  # one column, for the empty suffix
     return vec if remap is None else remap([*vec, 0])
 
@@ -428,13 +419,15 @@ class Side:
 
     ``slices()`` lists the slices once (``build_slice_space``), keeping
     them and each listing step; ``plan(quotient)`` reads the full plan off
-    them once (``_plan_product``) and derives the count's from it once
-    (``_quotient_plan``); both map vectors over the slices.
+    them once (``_plan_product``) and narrows its masks to the count's
+    plan once (``_quotient_plan``).  Both plans are (phases, switch,
+    remap), every phase a pair (kept, gathers), and both map vectors over
+    the slices.
     ``count_patterns`` and ``state_counts`` check their own budgets on a
     side passed to them.
     """
 
-    __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_record", "_plans")
+    __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_plans")
 
     def __init__(self, model: SftModel, n: int, state_budget: int = DEFAULT_STATE_BUDGET):
         self.model = model
@@ -446,10 +439,9 @@ class Side:
     def slices(self) -> list[int]:
         """The slices of side n, ascending."""
         if self._slices is None:
-            model, n = self.model, self.n
-            self._steps, self._record = [], []
-            self._slices = build_slice_space(model, n, _phase_checks(model, n),
-                                             self.state_budget, self._steps)
+            self._steps = []
+            self._slices = build_slice_space(self.model, self.n, self.state_budget,
+                                             self._steps)
         return self._slices
 
     def plan(self, quotient: bool):
@@ -459,12 +451,11 @@ class Side:
         or more symbols; otherwise the full plan serves both kinds."""
         model, slices, plans = self.model, self.slices(), self._plans
         if False not in plans:
-            plans[False] = _plan_product(model, self.n, slices, self._steps,
-                                         self.state_budget, self._record)
+            plans[False] = _plan_product(model, self.n, slices, self._steps, self.state_budget)
         quotient = (quotient and len(slices) > 1 and plans[False] is not None
                     and model.symbol_classes != tuple(range(model.num_symbols)))
         if quotient not in plans:
-            plans[True] = _quotient_plan(model, plans[False], self._record)
+            plans[True] = _quotient_plan(model, plans[False])
         return plans[quotient]
 
 

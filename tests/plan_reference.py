@@ -7,8 +7,10 @@ phase's suffixes from the last: the block of each first symbol by
 bisection, the tails of the read blocks merged and sorted, and the runs
 by matching each tail against the merge.  The package's ``_plan_product``
 reads the same lists off the slice listing instead; the tests check that
-both plans are equal, budget refusals included.  Masks are 0/1 ``bytes``,
-as the package's are, so the two plans compare with ``==``.
+both plans are equal, budget refusals included.  The package's count plan
+keeps every symbol of its full plan, with an all-zero mask where this one
+lists none, and the tests drop those entries before comparing.  Masks are
+0/1 ``bytes``, as the package's are, so the two plans compare with ``==``.
 """
 
 from bisect import bisect_left
@@ -92,10 +94,11 @@ def plan_product(
     block.  Steps before ``switch`` run on rows over suffixes (one per
     prefix), the rest on columns over prefixes (one per suffix); the
     layout turns once, at the first phase where |P_p| >= |S_p|, so the
-    inner lists stay the long side.  A row step lists, per kept v, the 0/1
-    mask over P_p of the prefixes that take v (None when all do) and, per
-    run, its size and the slices of S_p it sums.  A column step lists
-    (mask, output size) per kept v, and per suffix of S_{p+1} a tuple, per
+    inner lists stay the long side.  Every step is a pair (kept, gathers):
+    ``kept`` lists (v, mask, size) per kept v, the 0/1 mask over P_p of the
+    prefixes that take v (None when all do) and their number.  A row
+    step's ``gathers`` list per kept v, per run, its size and the slices
+    of S_p it sums; a column step's, per suffix of S_{p+1}, a tuple, per
     kept v, of the positions in S_p it sums.  Phase 0 gathers by slices
     too: position i of the input, which is in slice order, is read as the
     entry of suffix s_i, the slice R(s_i).  So the product maps a vector u
@@ -193,7 +196,7 @@ def plan_product(
                 f"more than {state_budget} live transfer states at side {n}"
             )
         if p < switch:
-            steps.append(list(zip([mask for _, mask, _ in kept], by_v)))
+            steps.append((kept, by_v))
         else:
             # per new suffix, the source positions per kept v
             sources = []
@@ -201,7 +204,7 @@ def plan_product(
                 sources.extend(zip(*(
                     zip(*idx) if idx else repeat((), size) for size, idx in parts
                 )))
-            steps.append(([(mask, size) for _, mask, size in kept], sources))
+            steps.append((kept, sources))
     # each slice reads the position in P_w of its canonical image
     where = dict(zip(prefixes, count()))
     if quotient:

@@ -311,6 +311,43 @@ def test_exit_usage_on_model_parse_failure(capsys, tmp_path):
     assert "syntax error" in err
 
 
+def test_model_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "--model", str(path), "count", "--n", "2")
+    assert (code, out) == (1, "")
+    # one line, naming the file and the encoding
+    assert err.startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_model_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "--model", str(path), "count", "--n", "2")
+    assert (code, out, err) == (1, "", "model error: the document is nested too deeply\n")
+
+
+def test_format_a_command_does_not_print_is_a_usage_error(capsys):
+    head = ("--builtin", "hard-square", "--dim", "2")
+    for fmt, command, formats in [
+        ("csv", "verify", "human or json"),
+        ("json", "glue-demo", "human"),
+        ("csv", "glue-demo", "human"),
+    ]:
+        code, out, err = run_cli(capsys, *head, "--format", fmt, command)
+        assert (code, out) == (1, ""), (fmt, command)
+        assert err == f"{command} prints --format {formats}, not {fmt}\n"
+    # the formats each command has still run
+    for argv in (
+        ["--format", "json", "verify", "--samples", "2"],
+        ["--format", "human", "verify", "--samples", "2"],
+        ["--format", "human", "glue-demo"],
+    ):
+        code, out, _ = run_cli(capsys, *head, *argv)
+        assert code == 0 and out, argv
+
+
 def test_node_budget_flag_is_a_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "--builtin", "hard-square", "--dim", "2",

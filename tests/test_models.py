@@ -53,6 +53,14 @@ def test_parse_reports_syntax_position():
         parse_model('{"dimension": 2,\n "alphabet": [}')
 
 
+def test_parse_refuses_deep_nesting():
+    # past the parser's recursion limit: a format error, not RecursionError
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        parse_model("[" * 100_000)
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        parse_model('{"dimension": ' + "[" * 100_000)
+
+
 def test_parse_rejects_bad_dimension():
     with pytest.raises(ModelFormatError, match="dimension"):
         parse_model(json.dumps(dict(HARD_SQUARE_DOC, dimension=0)))

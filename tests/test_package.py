@@ -13,7 +13,7 @@ import sftbounds
 from sftbounds import builtin_model
 from sftbounds.enumeration import count_patterns_dfs
 from sftbounds.models import drop_last_axis
-from sftbounds.transfer import _phase_checks, build_slice_space, count_via_transfer
+from sftbounds.transfer import build_slice_space, count_via_transfer
 
 PACKAGE = pathlib.Path(sftbounds.__file__).parent
 
@@ -154,7 +154,7 @@ def test_bench_tracer_contract():
     for d, sides in ((2, range(1, 6)), (3, range(1, 4))):
         model = builtin_model("hard-square", d)
         for n in sides:
-            slices = build_slice_space(model, n, _phase_checks(model, n))
+            slices = build_slice_space(model, n)
             assert len(slices) == count_patterns_dfs(drop_last_axis(model), n)
 
 

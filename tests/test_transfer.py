@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ DEFAULT_EDGE_BUDGET = 2_000_000
 
 def slice_vector(model, n):
     """The all-ones vector over the slices the transfer lists."""
-    return dict.fromkeys(build_slice_space(model, n, _phase_checks(model, n)), 1)
+    return dict.fromkeys(build_slice_space(model, n), 1)
 
 
 def listed_by_walk(model, n, state_budget=DEFAULT_STATE_BUDGET):
@@ -229,6 +230,36 @@ def test_slice_budget_refused_before_any_product(
     assert set(planned) == set(applied) == {1, 2}
 
 
+def test_preflight_builds_no_checks_of_a_refused_side(monkeypatch):
+    # side 2 of hard-square d = 8 at budget 1000: each dimension down to 5
+    # has more slice fillings than the budget and counts its slices one
+    # dimension down first; the d = 4 count (743) fits, and d = 5 refuses.
+    # Only the sides listed build their cells' checks: a refused side's
+    # table would have n^(d-1) entries.
+    import sftbounds.transfer as transfer_mod
+
+    real = transfer_mod._phase_checks
+    built = []
+
+    def spy(model, n):
+        built.append((model.dimension, n))
+        return real(model, n)
+
+    monkeypatch.setattr(transfer_mod, "_phase_checks", spy)
+    with pytest.raises(BudgetExceededError, match="more than 1000 .* at side 2"):
+        count_patterns(builtin_model("hard-square", 8), 2, state_budget=1000)
+    assert built == [(4, 2), (5, 2)]
+
+
+def test_high_dimension_refusal_is_fast():
+    # 2^39 cells per slice at d = 40: the preflight must not build or
+    # raise anything of that size on its way down to d = 5
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError, match="at side 2"):
+        count_patterns(builtin_model("hard-square", 40), 2, state_budget=1000)
+    assert time.process_time() - start < 2
+
+
 def spy_on_sides(monkeypatch):
     """Count, per (dimension, side), the slice lists made and the planner
     runs (``_plan_product``; a quotient plan is derived from its side's
@@ -318,10 +349,9 @@ def test_slice_space_matches_dict_walk(hard_square2, hard_square3, coloring3_d2)
     )
     seen = set()
     for model, n, budgets in cases:
-        phases = _phase_checks(model, n)
-        assert build_slice_space(model, n, phases) == listed_by_walk(model, n)
+        assert build_slice_space(model, n) == listed_by_walk(model, n)
         for budget in budgets:
-            got = outcome(build_slice_space, model, n, phases, budget)
+            got = outcome(build_slice_space, model, n, budget)
             assert got == outcome(listed_by_walk, model, n, budget), (model, n, budget)
             if isinstance(got, str):
                 # "more than {budget} {what} at side {n}" -> what
@@ -523,18 +553,15 @@ class PlannedProduct:
         return {k: c for k, c in zip(self.slices, out) if c}
 
     def factor_sizes(self):
-        """(|P_p|, |S_p|) after each phase, read off the plan's steps."""
-        steps, switch, _ = self.plan
+        """(|P_p|, |S_p|) after each phase, read off the plan's phases."""
+        phases, switch, _ = self.plan
         sizes = []
         rows = 1
-        for p, step in enumerate(steps):
-            if p < switch:
-                rows = sum(rows if mask is None else sum(mask) for mask, _ in step)
-                cols = sum(size for size, _ in step[0][1])
-            else:
-                kept, sources = step
-                rows = sum(size for _, size in kept)
-                cols = len(sources)
+        for p, (kept, gathers) in enumerate(phases):
+            for _, mask, size in kept:  # a mask over P_p, taking size prefixes
+                assert size == rows if mask is None else (len(mask), sum(mask)) == (rows, size)
+            rows = sum(size for _, _, size in kept)
+            cols = sum(size for size, _ in gathers[0]) if p < switch else len(gathers)
             sizes.append((rows, cols))
         return sizes
 
@@ -617,16 +644,16 @@ def phase_runs(plan):
     A row step lists one group per run, and every gather is a slice; a
     column step lists per suffix its source positions, which a run
     continues one position on."""
-    steps, switch, _ = plan
+    phases, switch, _ = plan
     runs = []
-    for p, step in enumerate(steps[1:], 1):
+    for p, (_, gathers) in enumerate(phases[1:], 1):
         if p < switch:
-            gathers = [s for _, groups in step for _, idx in groups for s in idx]
-            assert all(isinstance(s, slice) for s in gathers), p
-            assert len({len(groups) for _, groups in step}) == 1, p
-            runs.append(len(step[0][1]))
+            flat = [s for groups in gathers for _, idx in groups for s in idx]
+            assert all(isinstance(s, slice) for s in flat), p
+            assert len({len(groups) for groups in gathers}) == 1, p
+            runs.append(len(gathers[0]))
         else:
-            sources = step[1]
+            sources = gathers
             runs.append(1 + sum(
                 any(len(a) != len(b) or any(j != i + 1 for i, j in zip(a, b))
                     for a, b in zip(prev, srcs))
@@ -647,7 +674,7 @@ def test_planned_product_gathers_runs_by_slices(hard_square2, coloring3_d2):
             assert phase_runs(plan) == [per_phase] * (n - 2) + [1], (model, n)
             # both plans read the input as S_0 itself: phase 0 gathers by
             # slices too
-            gathers = [s for _, groups in plan[0][0] for _, idx in groups for s in idx]
+            gathers = [s for groups in plan[0][0][1] for _, idx in groups for s in idx]
             assert gathers and all(isinstance(s, slice) for s in gathers), (model, n)
 
 
@@ -785,8 +812,9 @@ def test_quotient_counts_colorings():
                 assert_quotient_matches(model, n)
 
 
-def test_quotient_on_uneven_classes():
-    # (a b) preserves both axes, nothing moves c or d: classes {a, b}, {c}, {d}
+def uneven_class_model():
+    """(a b) preserves both axes, nothing moves c or d: classes {a, b},
+    {c}, {d}."""
     doc = {
         "dimension": 2,
         "alphabet": ["a", "b", "c", "d"],
@@ -795,7 +823,23 @@ def test_quotient_on_uneven_classes():
             [["a", "b"], ["b", "a"], ["d", "d"]],
         ],
     }
-    model = parse_model(json.dumps(doc))
+    return parse_model(json.dumps(doc))
+
+
+def isolated_c_model():
+    """Classes {a, b} and {c}, where c has no neighbor along axis 2, so
+    no slice holding a c has one."""
+    every_c = [["c", s] for s in "abc"] + [["a", "c"], ["b", "c"]]
+    doc = {
+        "dimension": 2,
+        "alphabet": ["a", "b", "c"],
+        "forbidden": [[["a", "b"], ["b", "a"]], every_c],
+    }
+    return parse_model(json.dumps(doc))
+
+
+def test_quotient_on_uneven_classes():
+    model = uneven_class_model()
     assert model.symbol_classes == (0, 0, 2, 3)
     for n in range(1, 4):
         assert_quotient_matches(model, n, count_patterns_dfs(model, n))
@@ -806,16 +850,10 @@ def test_quotient_on_uneven_classes():
     canonical = PlannedProduct(model, 3, quotient=True)
     fan_out = Counter(remap_positions(canonical.plan, canonical.slices))
     assert sorted(set(fan_out.values())) == [1, 2]
-    # c has no neighbor along axis 2, so no slice holding a c has one:
-    # their images are not among the plan's canonical slices, and the
-    # fan-out sends them to the 0 after the output
-    every_c = [["c", s] for s in "abc"] + [["a", "c"], ["b", "c"]]
-    doc = {
-        "dimension": 2,
-        "alphabet": ["a", "b", "c"],
-        "forbidden": [[["a", "b"], ["b", "a"]], every_c],
-    }
-    model = parse_model(json.dumps(doc))
+    # no slice holding a c has a neighbor along axis 2: their images are
+    # not among the plan's canonical slices, and the fan-out sends them to
+    # the 0 after the output
+    model = isolated_c_model()
     assert model.symbol_classes == (0, 0, 2)
     for n in range(1, 5):
         assert_quotient_matches(model, n, count_patterns_dfs(model, n))
@@ -827,6 +865,75 @@ def test_quotient_on_uneven_classes():
     assert [p == sentinel for p in positions] == holds_c
     out = _apply_plan(canonical.plan, [1] * len(canonical.slices))
     assert [c == 0 for c in out] == holds_c
+
+
+def prefix_lists(plan, q):
+    """P_0, P_1, ..., the prefixes before each phase, read off the
+    plan's kept lists: v's part of P_{p+1} is the prefixes its mask takes,
+    with v at cell p."""
+    prefixes = [[0]]
+    for p, (kept, _) in enumerate(plan[0]):
+        prefixes.append([y + v * q ** p for v, mask, _ in kept for y in (
+            prefixes[-1] if mask is None else itertools.compress(prefixes[-1], mask))])
+    return prefixes
+
+
+def assert_count_plan_narrows_full_plan(model, n):
+    """The count's plan is the full plan with narrowed masks: the same
+    v's in order, the very same gathers objects and the same switch; each
+    mask None where the full mask is None, and otherwise the full mask
+    restricted to the canonical prefixes, those whose cell 0 represents
+    its class.  At phase 0 a v that represents no class takes nothing.
+    Returns the number of entries of size 0 past phase 0."""
+    q, reps = model.num_symbols, model.symbol_classes
+    side = Side(model, n)
+    full, count = side.plan(False), side.plan(True)
+    assert count is not full and count[1] == full[1], (model, n)
+    emptied = 0
+    for p, (prefixes, (kept, gathers), (qkept, qgathers)) in enumerate(
+        zip(prefix_lists(full, q), full[0], count[0])
+    ):
+        assert qgathers is gathers, (model, n, p)
+        assert [v for v, _, _ in qkept] == [v for v, _, _ in kept], (model, n, p)
+        canon = [reps[y % q] == y % q for y in prefixes]
+        for (v, mask, size), entry in zip(kept, qkept):
+            if p == 0:
+                expected = (v, mask, size) if reps[v] == v else (v, b"\0", 0)
+            elif mask is None:
+                expected = (v, None, sum(canon))
+            else:
+                narrowed = bytes(itertools.compress(mask, canon))
+                expected = (v, narrowed, sum(narrowed))
+            assert entry == expected, (model, n, p, v)
+            emptied += p > 0 and entry[2] == 0
+    return emptied
+
+
+def test_count_plan_narrows_full_plan():
+    emptied = 0
+    for model, sides in [
+        (builtin_model("coloring", 2, 3), range(2, 7)),
+        (builtin_model("coloring", 3, 3), range(2, 4)),
+        (builtin_model("coloring", 2, 4), range(2, 5)),
+        (uneven_class_model(), range(2, 6)),
+        (isolated_c_model(), range(2, 6)),
+    ]:
+        emptied += sum(assert_count_plan_narrows_full_plan(model, n) for n in sides)
+    # some phase past the first keeps a v that no canonical prefix takes
+    # (on coloring, cell 0's own symbol at cell 1)
+    assert emptied
+
+
+def test_plans_fill_no_list_for_their_caller():
+    # the count's plan reads its kept lists off the full plan, and the
+    # listing builds its own cells' checks after the preflight
+    import inspect
+
+    import sftbounds.transfer as transfer_mod
+
+    for fn in (transfer_mod._plan_product, transfer_mod._quotient_plan, build_slice_space):
+        assert not {"record", "phases"} & set(inspect.signature(fn).parameters), fn
+    assert "_record" not in Side.__slots__
 
 
 def test_quotient_needs_every_axis():
@@ -872,16 +979,38 @@ def test_quotient_plan_sizes(hard_square2, coloring3_d2):
 
 def side_plan(model, n, budget, quotient):
     """The plan of side n as ``Side`` makes it, off the slice listing,
-    with its remap as the positions it reads."""
+    with its remap as the positions it reads.  The count's plan keeps
+    every v of the full plan; the reference's lists only the v some
+    canonical prefix takes, so the entries of size 0 go, each checked to
+    have an all-zero mask, with their gathers."""
     side = Side(model, n, budget)
     plan = side.plan(quotient)
-    return plan and (*plan[:2], remap_positions(plan, side.slices()))
+    if not plan:
+        return plan
+    phases, switch, _ = plan
+    if quotient:
+        phases = [nonempty_entries(phase, p < switch) for p, phase in enumerate(phases)]
+    return phases, switch, remap_positions(plan, side.slices())
+
+
+def nonempty_entries(phase, rows):
+    """A phase without its entries of size 0, which must take no prefix;
+    ``rows`` for a phase on rows (gathers per v), else on columns
+    (gathers per suffix, then per v)."""
+    kept, gathers = phase
+    live = [size > 0 for _, _, size in kept]
+    for (_, mask, _), keep in zip(kept, live):
+        assert keep or (mask is not None and 1 not in mask), mask
+    pick = itertools.compress
+    if rows:
+        return list(pick(kept, live)), list(pick(gathers, live))
+    return list(pick(kept, live)), [tuple(pick(srcs, live)) for srcs in gathers]
 
 
 def reference_plan(model, n, budget, quotient):
     """The plan of side n by the suffix-derivation reference planner."""
     phases = _phase_checks(model, n)
-    slices = build_slice_space(model, n, phases, budget)
+    slices = build_slice_space(model, n, budget)
     masks = model.allowed_masks[model.dimension - 1]
     return plan_reference.plan_product(model, n, slices, masks, phases, budget, quotient)
 
