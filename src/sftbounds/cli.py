@@ -13,10 +13,10 @@ sampling failure, 3 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 from .models import ModelFormatError, SftModel, builtin_model, parse_model
 from .patterns import format_pattern
@@ -43,13 +43,6 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse defaults to exit code 2 on usage errors; the contract is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
 def load_model(args) -> SftModel:
@@ -81,42 +74,233 @@ def load_model(args) -> SftModel:
     return builtin_model(name, args.dim, q)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="sftbounds",
-        description=(
-            "Exact pattern counts and certified entropy brackets for "
-            "symmetric nearest-neighbor subshifts of finite type."
-        ),
+class _Flag:
+    """One row of the flag table.
+
+    ``names`` are the flag's spellings; its value is read by ``type``,
+    checked against ``choices`` and stored on the attribute ``dest`` (the
+    last name without its dashes, ``-`` read as ``_``).  ``_HELP``, the
+    one flag every scope has, takes no value.
+    """
+
+    def __init__(self, *names, type=str, default=None, choices=None,
+                 required=False, metavar=None, help=""):
+        self.names = names
+        self.label = "/".join(names)
+        self.dest = names[-1].lstrip("-").replace("-", "_")
+        self.type = type
+        self.default = default
+        self.choices = choices
+        self.required = required
+        if metavar is None and choices:
+            metavar = "{" + ",".join(choices) + "}"
+        self.metavar = metavar or self.dest.upper()
+        self.help = help
+
+
+class _Scope:
+    """The flags read in one place of the command line: the global flags
+    before the command, or one command's flags after it."""
+
+    def __init__(self, prog, summary, flags):
+        self.prog = prog
+        self.summary = summary
+        self.flags = (_HELP, *flags)
+        self.options = {name: flag for flag in self.flags for name in flag.names}
+
+    def error(self, message, name=None):
+        """Prints the usage line and raises argparse's error line, which
+        names the flag or argument ``name`` when one is given."""
+        if name is not None:
+            message = f"argument {name}: {message}"
+        print(_usage(self), file=sys.stderr)
+        raise CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
+
+
+# The flag table: the usage lines, the help and every error line are read
+# off it.
+_HELP = _Flag("-h", "--help", help="show this help message and exit")
+_GLOBAL = _Scope(
+    "sftbounds",
+    "Exact pattern counts and certified entropy brackets for symmetric\n"
+    "nearest-neighbor subshifts of finite type.",
+    (
+        _Flag("--model", metavar="PATH", help="model document (JSON)"),
+        _Flag("--builtin", metavar="NAME[:PARAM]",
+              help="builtin model: hard-square or coloring:q"),
+        _Flag("--dim", type=int, help="dimension for --builtin"),
+        _Flag("--format", default="human", choices=("human", "json", "csv"),
+              help="output format"),
+        _Flag("--seed", type=int, default=0, help="RNG seed for demos"),
+        _Flag("--log-base", default="e", choices=("e", "2"),
+              help="entropies in nats (e) or bits (2)"),
+    ),
+)
+_SCOPES = {
+    name: _Scope(f"sftbounds {name}", summary, flags)
+    for name, summary, flags in (
+        ("count", "exact pattern counts", (
+            _Flag("--n", type=int, required=True, help="side of the first cube counted"),
+            _Flag("--n-max", type=int,
+                  help="side of the last cube counted; --n when not given"),
+        )),
+        ("bounds", "entropy bracket report", (
+            _Flag("--n-max", type=int, required=True,
+                  help="side of the last report row, at least 1"),
+        )),
+        ("verify", "check the bound inequalities", (
+            _Flag("--n", type=int, default=2, help="side of the checks, at least 2"),
+            _Flag("--samples", type=int, default=200,
+                  help="glue draws from --seed, at least 1"),
+        )),
+        ("glue-demo", "show a reflection-gluing run", (
+            _Flag("--n", type=int, default=2, help="side of the glued blocks, at least 2"),
+        )),
     )
-    parser.add_argument("--model", metavar="PATH", help="model document (JSON)")
-    parser.add_argument(
-        "--builtin",
-        metavar="NAME[:PARAM]",
-        help="builtin model: hard-square or coloring:q",
-    )
-    parser.add_argument("--dim", type=int, help="dimension for --builtin")
-    parser.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed for demos")
-    parser.add_argument("--log-base", choices=("e", "2"), default="e")
+}
 
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p_count = sub.add_parser("count", help="exact pattern counts")
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--n-max", type=int, default=None)
+def _usage(scope) -> str:
+    items = ["usage:", scope.prog, "[-h]"]
+    for flag in scope.flags[1:]:
+        item = f"{flag.names[0]} {flag.metavar}"
+        items.append(item if flag.required else f"[{item}]")
+    if scope is _GLOBAL:
+        items.append("COMMAND ...")
+    return " ".join(items)
 
-    p_bounds = sub.add_parser("bounds", help="entropy bracket report")
-    p_bounds.add_argument("--n-max", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", help="check the bound inequalities")
-    p_verify.add_argument("--n", type=int, default=2)
-    p_verify.add_argument("--samples", type=int, default=200)
+def _help(scope) -> str:
+    lines = [_usage(scope), "", scope.summary]
+    if scope is _GLOBAL:
+        lines += ["", "commands:"]
+        lines += [f"  {name:<11}{command.summary}" for name, command in _SCOPES.items()]
+    cells = [", ".join(flag.names) if flag is _HELP else f"{flag.names[0]} {flag.metavar}"
+             for flag in scope.flags]
+    width = max(map(len, cells)) + 2
+    lines += ["", "global flags:" if scope is _GLOBAL else "flags:"]
+    for cell, flag in zip(cells, scope.flags):
+        note = flag.help
+        if flag.required:
+            note += " (required)"
+        elif flag.default is not None:
+            note += f" (default: {flag.default})"
+        lines.append(f"  {cell:<{width}}{note}")
+    if scope is _GLOBAL:
+        lines += ["", "Global flags come before COMMAND.  A flag takes its value as "
+                  "--flag VALUE or\n--flag=VALUE and may be shortened to any unique prefix."]
+    return "\n".join(lines) + "\n"
 
-    p_demo = sub.add_parser("glue-demo", help="show a reflection-gluing run")
-    p_demo.add_argument("--n", type=int, default=2)
 
-    return parser
+def _invalid_choice(value, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _classify(scope, token):
+    """How argparse reads ``token`` in ``scope``: None for a value, else
+    (the option string it names, the value inside the token or None), with
+    option None for a flag the scope does not have."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in scope.options:
+        return token, None
+    name, eq, inline = token.partition("=")
+    if eq and name in scope.options:
+        return name, inline
+    if token[1] == "-":  # a unique prefix of a long flag
+        hits = [option for option in scope.options if option.startswith(name)]
+        inline = inline if eq else None
+    else:  # a short flag with its value run on
+        hits = [option for option in scope.options if option == token[:2]]
+        inline = token[2:]
+    if len(hits) > 1:
+        scope.error(f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], inline
+    # a negative number (argparse's r"^-\d+$|^-\d*\.\d+$") or a token
+    # with a space is a value
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if dot:
+        negative = (not whole or whole.isdecimal()) and fraction.isdecimal()
+    else:
+        negative = whole.isdecimal()
+    if negative or " " in token:
+        return None
+    return None, None
+
+
+def _enter(scope, args, tokens) -> list:
+    """Sets the defaults of ``scope`` on ``args`` and classifies ``tokens``
+    up to the first "--": argparse reads every token of a scope before it
+    takes any, so an ambiguous prefix is refused before any other error."""
+    for flag in scope.flags[1:]:
+        setattr(args, flag.dest, flag.default)
+    if "--" in tokens:
+        tokens = tokens[:tokens.index("--")]
+    return [_classify(scope, token) for token in tokens]
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The attributes that ``load_model`` and the ``cmd_*`` functions read.
+
+    The grammar is argparse's: the global flags come before the command; a
+    flag takes its value as ``--flag VALUE`` or ``--flag=VALUE`` and may be
+    shortened to any unique prefix; a repeated flag keeps its last value;
+    and a token such as ``-5`` is a value.  ``-h`` prints the help of the
+    global flags or of the command it follows and raises ``CliError`` with
+    ``EXIT_OK``.  A usage error prints the usage line of its scope to
+    stderr and raises ``CliError`` with ``EXIT_USAGE`` and argparse's error
+    line.  ``command`` is None when no command is given.
+    """
+    argv = list(argv)
+    args = SimpleNamespace(command=None)
+    scope, seen, extras = _GLOBAL, set(), []
+    kinds = _enter(scope, args, argv)
+    i = 0
+    while i < len(kinds):
+        token, kind = argv[i], kinds[i]
+        i += 1
+        if kind is None and scope is _GLOBAL:  # the command
+            if token not in _SCOPES:
+                scope.error(_invalid_choice(token, _SCOPES), "COMMAND")
+            args.command, scope = token, _SCOPES[token]
+            kinds[i:] = _enter(scope, args, argv[i:])
+            continue
+        if kind is None or kind[0] is None:
+            extras.append(token)
+            continue
+        option, text = kind
+        flag = scope.options[option]
+        if flag is _HELP:
+            if text and option == "-h":  # "-hh" is -h twice
+                text = text.lstrip("h") or None
+            if text is not None:
+                scope.error(f"ignored explicit argument {text!r}", flag.label)
+            sys.stdout.write(_help(scope))
+            raise CliError(EXIT_OK)
+        if text is None:
+            if i == len(kinds) or kinds[i] is not None:
+                scope.error("expected one argument", flag.label)
+            text = argv[i]
+            i += 1
+        try:
+            value = flag.type(text)
+        except ValueError:
+            scope.error(f"invalid {flag.type.__name__} value: {text!r}", flag.label)
+        if flag.choices is not None and value not in flag.choices:
+            scope.error(_invalid_choice(value, flag.choices), flag.label)
+        setattr(args, flag.dest, value)
+        seen.add(flag)
+    rest = argv[len(kinds):]  # "--" and what follows it
+    if scope is _GLOBAL and len(rest) > 1:
+        scope.error(_invalid_choice("--", _SCOPES), "COMMAND")
+    extras += rest
+    missing = [flag.label for flag in scope.flags if flag.required and flag not in seen]
+    if missing:
+        scope.error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _GLOBAL.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def cmd_count(model: SftModel, args) -> int:
@@ -234,9 +418,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.command is None:
             raise CliError(
                 EXIT_USAGE, "a command is required (count, bounds, verify, glue-demo)"

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sftbounds import model_from_doc
-from sftbounds.cli import main
+from sftbounds.cli import CliError, main, parse_args
 from sftbounds.enumeration import count_patterns_dfs
 from sftbounds.sampling import SamplingError
+
+import cli_reference
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HARD_SQUARE_DOC = {
@@ -393,14 +395,20 @@ def test_exit_budget_on_slice_count_before_building_slices(capsys):
 
 
 def test_cli_imports_without_numpy():
+    # nor argparse, whose first parser loads gettext and locale
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    code = (
+        "import sys\n"
+        "import sftbounds.cli\n"
+        "sftbounds.cli.main(['--builtin', 'hard-square', '--dim', '2', 'count', '--n', '2'])\n"
+        "print(sorted({'numpy', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sftbounds.cli, sys; assert 'numpy' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "C_2 = 7\n[]\n"
 
 
 def test_backend_flag_is_a_usage_error(capsys):
@@ -524,3 +532,137 @@ def test_cli_refuses_corrupt_documents(tmp_path_factory, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("model error: ")
+
+
+# The four benchmark workloads' argv (seed 7), then every flag in both
+# spellings, unique prefixes, a repeated flag and a negative value.
+ACCEPTED = [
+    "--builtin hard-square --dim 2 --format json bounds --n-max 14",
+    "--builtin coloring:3 --dim 2 --format json bounds --n-max 10",
+    "--builtin hard-square --dim 3 --format json bounds --n-max 3",
+    "--builtin hard-square --dim 2 --seed 7 --format json verify --n 4 --samples 50",
+    "--model m.json --builtin coloring:3 --dim 3 --format csv --seed 5 --log-base 2"
+    " count --n 2 --n-max 4",
+    "--model=m.json --builtin=coloring:3 --dim=3 --format=csv --seed=5 --log-base=2"
+    " count --n=2 --n-max=4",
+    "bounds --n-max 6",
+    "bounds --n-max=6",
+    "verify --n 3 --samples 9",
+    "verify --n=3 --samples=9",
+    "glue-demo --n 3",
+    "glue-demo --n=3",
+    "--form json bounds --n 3",
+    "--form=json --b hard-square --d 2 --s 1 --l 2 bounds --n=3",
+    "--mod m.json count --n 2 --n-m 5",
+    "--format json --format csv --seed 1 --seed 2 count --n 2 --n 3",
+    "verify --samples -5",
+    "--seed -5 verify --samples=-5",
+    "--dim 2",
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED)
+def test_parse_args_matches_argparse_reference(argv):
+    argv = argv.split()
+    expected = vars(cli_reference.build_parser().parse_args(argv))
+    assert vars(parse_args(argv)) == expected
+
+
+# The last stderr line of each usage error, as argparse printed it before
+# the flag table replaced it (CPython 3.11); every one exits 1.
+REJECTED = [
+    ("--bogus count --n 2", "sftbounds: error: unrecognized arguments: --bogus"),
+    ("count --n 2 --bogus", "sftbounds: error: unrecognized arguments: --bogus"),
+    ("count --n 2 --dim 2", "sftbounds: error: unrecognized arguments: --dim 2"),
+    ("count --n", "sftbounds count: error: argument --n: expected one argument"),
+    ("count --n x", "sftbounds count: error: argument --n: invalid int value: 'x'"),
+    ("--format xml count --n 2",
+     "sftbounds: error: argument --format: invalid choice: 'xml'"
+     " (choose from 'human', 'json', 'csv')"),
+    ("count", "sftbounds count: error: the following arguments are required: --n"),
+    ("frob",
+     "sftbounds: error: argument COMMAND: invalid choice: 'frob'"
+     " (choose from 'count', 'bounds', 'verify', 'glue-demo')"),
+    ("--dim 2 -- count --n 2",
+     "sftbounds: error: argument COMMAND: invalid choice: '--'"
+     " (choose from 'count', 'bounds', 'verify', 'glue-demo')"),
+    ("--builtin hard-square --dim 2",
+     "a command is required (count, bounds, verify, glue-demo)"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REJECTED)
+def test_usage_errors_print_argparse_lines(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == line
+    if line.startswith("sftbounds"):  # a parse error: the usage line comes first
+        prog = line.split(":")[0]
+        assert err.startswith(f"usage: {prog} [-h] ")
+        assert err.count("\n") == 2
+
+
+# Tokens whose reading argparse has kept across Python versions.
+TOKENS = st.sampled_from([
+    "count", "bounds", "verify", "glue-demo", "frob", "7", "-5", "x", "json", "2",
+    "--model", "--builtin", "--b", "--dim", "--di=3", "--format", "--form=csv",
+    "--seed", "--seed=-1", "--log-base", "--log=2", "--n", "--n=4", "--n-max",
+    "--n-m", "--samples", "--sa=-5", "--bogus", "--bogus=1",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TOKENS, max_size=8))
+def test_parse_args_accepts_what_argparse_accepted(argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            expected = vars(cli_reference.build_parser().parse_args(argv))
+        except CliError as exc:
+            assert exc.code == 1
+            expected = None
+        try:
+            got = vars(parse_args(argv))
+        except CliError as exc:
+            assert exc.code == 1
+            got = None
+    assert got == expected
+
+
+def _flag_cells(parser):
+    """Each flag's usage cell, default, help and whether it is required, in
+    an argparse parser."""
+    for action in parser._actions:
+        if action.dest in ("help", "command"):
+            continue
+        metavar = action.metavar or (
+            "{" + ",".join(action.choices) + "}" if action.choices else action.dest.upper()
+        )
+        cell = f"{action.option_strings[0]} {metavar}"
+        yield cell, action.default, action.help, action.required
+
+
+@pytest.mark.parametrize("command", [None, "count", "bounds", "verify", "glue-demo"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag_and_returns(capsys, command, flag):
+    reference = cli_reference.build_parser()
+    prog = "sftbounds"
+    if command is not None:
+        reference = reference._subparsers._group_actions[0].choices[command]
+        prog += f" {command}"
+    argv = ["--builtin", "hard-square"] + ([command] if command else []) + [flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {prog} [-h] ")
+    assert "-h, --help" in out
+    for cell, default, text, required in _flag_cells(reference):
+        line = next(line for line in out.splitlines() if line.startswith(f"  {cell} "))
+        if required:
+            assert line.endswith("(required)"), line
+        if default is not None:
+            assert line.endswith(f"(default: {default})"), line
+        if text is not None:
+            assert text in line
+    if command is None:
+        for name in ("count", "bounds", "verify", "glue-demo"):
+            assert f"\n  {name} " in out
