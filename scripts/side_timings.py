@@ -78,8 +78,7 @@ def main() -> None:
             cpu_ms(lambda: planned(n, False), lambda side: side.plan(True), repeats),
             cpu_ms(lambda: planned(n), lambda side: count_patterns(model, n, side=side),
                    repeats),
-            cpu_ms(lambda: planned(n, False), lambda side: state_counts(model, n, side=side),
-                   repeats),
+            cpu_ms(lambda: planned(n, False), state_counts, repeats),
         )
         slices = len(listed(n).slices())
         print(f"{n:>3}  {slices:>9}  " + "  ".join(f"{t:>9.3f}" for t in figures))

@@ -20,6 +20,7 @@ from .patterns import (
 )
 from .transfer import (
     BudgetExceededError,
+    Side,
     count_patterns,
     count_via_transfer,
 )

@@ -177,24 +177,24 @@ def verify_doubling_monotonicity(
     )
 
 
-def side_checks(
-    model: SftModel, n: int, c_n: int, c_glued: int, side: Side | None = None
-) -> list[tuple[str, int, bool | None, str]]:
-    """The checks that C_n and C_{2n-1} = ``c_glued`` decide, each as
-    (name, row, verdict, line): the key inequality of row n, on the
-    per-state table of ``side``, then for n >= 2 the power-mean and
-    doubling bounds of row m = n - 1, which read C_{m+1} = C_n and
-    C_{2m+1} = C_{2n-1}.  ``name`` is the ``RowChecks`` field and ``line``
-    the check with its exact operands; a table over budget leaves the key
-    verdict None, with the refusal as its line.
+def side_checks(side: Side, c_n: int, c_glued: int) -> list[tuple[str, int, bool | None, str]]:
+    """The checks that C_n and C_{2n-1} = ``c_glued`` decide for ``side``,
+    side n of its model, each as (name, row, verdict, line): the key
+    inequality of row n, on the side's per-state table at its budget,
+    then for n >= 2 the power-mean and doubling bounds of row m = n - 1,
+    which read C_{m+1} = C_n and C_{2m+1} = C_{2n-1}.  ``name`` is the
+    ``RowChecks`` field and ``line`` the check with its exact operands; a
+    table over budget leaves the key verdict None, with the refusal as
+    its line.
     """
+    model, n = side.model, side.n
     d = model.dimension
     try:
-        lhs, rhs, holds = verify_key_inequality(model, n, c_glued, c_n, side)
+        rhs, holds = verify_key_inequality(side, c_glued, c_n)
     except BudgetExceededError as exc:
         holds, line = None, str(exc)
     else:
-        line = (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {lhs} >= "
+        line = (f"state-resolved count bound (n={n}): C_{2 * n - 1} = {c_glued} >= "
                 f"sum_s C_{n}^(s)^{1 << d} = {rhs}")
     checks = [("key_inequality", n, holds, line)]
     if n >= 2:
@@ -240,7 +240,7 @@ def build_report(model: SftModel, n_max: int) -> ConvergenceReport:
     for n, side in sides.items():
         c_n, c_glued = counts[n], counts[2 * n - 1]
         if c_n is not None and c_glued is not None:
-            for name, row, verdict, _ in side_checks(model, n, c_n, c_glued, side):
+            for name, row, verdict, _ in side_checks(side, c_n, c_glued):
                 setattr(rows[row - 1].checks, name, verdict)
     return ConvergenceReport(model, rows)
 

@@ -352,7 +352,7 @@ def cmd_verify(model: SftModel, args) -> int:
     side = Side(model, n)
     c_n = count_patterns(model, n, side=side)
     results = []
-    for _, _, ok, line in side_checks(model, n, c_n, c_glued, side):
+    for _, _, ok, line in side_checks(side, c_n, c_glued):
         if ok is None:  # the per-state table was refused
             raise BudgetExceededError(line)
         results.append((line, ok))
@@ -421,9 +421,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.command is None:
-            raise CliError(
-                EXIT_USAGE, "a command is required (count, bounds, verify, glue-demo)"
-            )
+            _GLOBAL.error("a command is required (count, bounds, verify, glue-demo)")
         model = load_model(args)
         return _COMMANDS[args.command](model, args)
     except CliError as exc:

@@ -23,7 +23,7 @@ from .patterns import (
     restrict,
     surface_state,
 )
-from .transfer import DEFAULT_STATE_BUDGET, Side, state_counts
+from .transfer import Side, state_counts
 
 
 class GlueError(ValueError):
@@ -168,26 +168,22 @@ def glue_and_check(
     return glued, core, glued_ok, wrap_ok
 
 
-def verify_key_inequality(
-    model: SftModel, n: int, c_glued: int, c_n: int, side: Side | None = None
-) -> tuple[int, int, bool]:
+def verify_key_inequality(side: Side, c_glued: int, c_n: int) -> tuple[int, bool]:
     """Exact check that the glued constructions are all distinct:
 
         C_{2n-1}  >=  sum over states s of (C_n^(s)) ** (2^d),
 
-    with ``c_glued`` = C_{2n-1}.  The C_n^(s) come from ``state_counts``,
-    the shell-keyed slice walk, on ``side`` and its budget when given (the
-    ``Side`` the count of C_n ran on).  Returns (lhs, rhs, lhs >= rhs); a
-    False is a bug signal, not a mathematical possibility, as is a table
-    that does not sum to ``c_n`` = C_n, whose plan may fan the canonical
-    slices out: that raises ``CountMismatchError``.
+    with n and d those of ``side`` and ``c_glued`` = C_{2n-1}.  The
+    C_n^(s) come from ``state_counts(side)``, the shell-keyed slice walk
+    at the side's budget, on the ``Side`` the count of C_n ran on.
+    Returns (rhs, c_glued >= rhs); a False is a bug signal, not a
+    mathematical possibility, as is a table that does not sum to ``c_n``
+    = C_n, whose plan may fan the canonical slices out: that raises
+    ``CountMismatchError``.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    budget = DEFAULT_STATE_BUDGET if side is None else side.state_budget
-    table = state_counts(model, n, state_budget=budget, side=side)
+    table = state_counts(side)
     if sum(table.values()) != c_n:
-        raise CountMismatchError(f"the per-state table of side {n} does not sum to {c_n}")
-    p = 1 << model.dimension
+        raise CountMismatchError(f"the per-state table of side {side.n} does not sum to {c_n}")
+    p = 1 << side.model.dimension
     rhs = sum(c ** p for c in table.values())
-    return c_glued, rhs, c_glued >= rhs
+    return rhs, c_glued >= rhs

@@ -76,8 +76,10 @@ boundary state, and its field holds the number of patterns with that
 state.  In d = 1 no earlier slice has a shell cell, so every prefix is 0
 and the key is the last cell's value.
 
-A caller that needs side n's count and table holds one ``Side`` and
-passes it to both; nothing is kept between calls.
+The table is always read off a ``Side``, which carries its model, side
+and budget: ``state_counts(side)``.  A caller that needs side n's count
+and table holds one ``Side`` and passes it to both; nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -423,13 +425,16 @@ class Side:
     plan once (``_quotient_plan``).  Both plans are (phases, switch,
     remap), every phase a pair (kept, gathers), and both map vectors over
     the slices.
-    ``count_patterns`` and ``state_counts`` check their own budgets on a
-    side passed to them.
+    The side carries its budget: ``state_counts(side)`` reads model, n
+    and budget off it, and ``count_patterns`` checks that a side passed
+    to it matches its own arguments.  Raises ``ValueError`` for n < 1.
     """
 
     __slots__ = ("model", "n", "state_budget", "_steps", "_slices", "_plans")
 
     def __init__(self, model: SftModel, n: int, state_budget: int = DEFAULT_STATE_BUDGET):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         self.model = model
         self.n = n
         self.state_budget = state_budget
@@ -459,15 +464,6 @@ class Side:
         return plans[quotient]
 
 
-def _side(model: SftModel, n: int, state_budget: int, side: Side | None) -> Side:
-    """``side``, which must be of this model, side and budget, or a new one."""
-    if side is None:
-        return Side(model, n, state_budget)
-    if (side.model, side.n, side.state_budget) != (model, n, state_budget):
-        raise ValueError(f"the side given is not side {n} of this model and budget")
-    return side
-
-
 def count_via_transfer(
     model: SftModel,
     n: int,
@@ -475,10 +471,12 @@ def count_via_transfer(
     side: Side | None = None,
 ) -> int:
     """Exact cube count via the slice decomposition, on the count's plan
-    (``Side.plan``); on ``side`` when given (see ``Side``)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    side = _side(model, n, state_budget, side)
+    (``Side.plan``); on ``side`` when given, which must be of this model,
+    side and budget (see ``Side``)."""
+    if side is None:
+        side = Side(model, n, state_budget)
+    elif (side.model, side.n, side.state_budget) != (model, n, state_budget):
+        raise ValueError(f"the side given is not side {n} of this model and budget")
     slices = side.slices()
     if n == 1:
         return len(slices)
@@ -493,21 +491,16 @@ def count_via_transfer(
     return sum(map(mul, v, u))
 
 
-def state_counts(
-    model: SftModel,
-    n: int,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    side: Side | None = None,
-) -> dict[tuple[int, int], int]:
-    """Exact pattern count per realized boundary state; values sum to C_n.
+def state_counts(side: Side) -> dict[tuple[int, int], int]:
+    """Exact pattern count per realized boundary state of ``side``; values
+    sum to C_n.  The slices, the full plan and the budget are the side's.
 
     Keyed by (prefix, last slice): the last slice is packed as in the
     transfer, and the prefix holds, for slices 0..n-2 in turn, the digits
     of that slice's h shell cells in ascending cell order, as one base-q
     integer (slice 0 most significant).  The keys are one-to-one with the
     realized states; the caller that only needs the values never decodes
-    them.  With ``side``, the slices and the full plan come from it (see
-    ``Side``).
+    them.
 
     The walk runs the planned product n-1 times on one vector whose entry
     for slice s packs a count per shell prefix in W-bit fields, with slice
@@ -519,10 +512,10 @@ def state_counts(
     after step k.  The product is linear and maps every field alike, so
     after n-1 steps field f of slice s is the count of key (g, s), where g
     lists the same codes slice 0 first; ``_unpack`` keys f by g.  The
-    budget bounds the final vector, Q^(n-1) fields per slice, before any
-    product.  It does not bound the walk's peak: a phase holds up to
-    prefixes x suffixes entries (at most the budget, by the plan's own
-    check), each of up to Q^(n-1) fields.
+    side's budget bounds the final vector, Q^(n-1) fields per slice,
+    before any product.  It does not bound the walk's peak: a phase holds
+    up to prefixes x suffixes entries (at most the budget, by the plan's
+    own check), each of up to Q^(n-1) fields.
 
     The plan computes T R, not T, with R the point reflection of a slice
     (``_plan_product``), and R commutes with T.  Write x_k for the vector
@@ -544,18 +537,14 @@ def state_counts(
     m^(n-1) < 2^((n-1) * b) with b = m.bit_length().  W is (n-1) * b
     rounded up to whole 64-bit words, for the unpacking.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    model, n, budget = side.model, side.n, side.state_budget
     d = model.dimension
     q = model.num_symbols
     shell = surface_indices(n, d - 1)
     block = q ** len(shell)
-    side = _side(model, n, state_budget, side)
     slices = side.slices()
-    if block ** (n - 1) * len(slices) > state_budget:
-        raise BudgetExceededError(
-            f"more than {state_budget} boundary-state keys at side {n}"
-        )
+    if block ** (n - 1) * len(slices) > budget:
+        raise BudgetExceededError(f"more than {budget} boundary-state keys at side {n}")
     if n == 1:
         return dict.fromkeys(zip(repeat(0), slices), 1)
     plan = side.plan(quotient=False)

@@ -278,13 +278,13 @@ def test_report_key_inequality_on_every_row_with_c_glued(hard_square2):
 
 
 def test_side_checks_table_takes_the_sides_budget(hard_square2):
-    # the table of a side given runs at that side's budget, not the default
-    verdicts = [ok for _, _, ok, _ in side_checks(hard_square2, 3, 63, 55447)]
+    # the table runs at its side's budget, the one place a budget is set
+    verdicts = [ok for _, _, ok, _ in side_checks(Side(hard_square2, 3), 63, 55447)]
     assert verdicts == [True, True, True]
-    own = side_checks(hard_square2, 3, 63, 55447, Side(hard_square2, 3, 1000))
+    own = side_checks(Side(hard_square2, 3, 1000), 63, 55447)
     assert [ok for _, _, ok, _ in own] == verdicts
     c_5, c_9 = count_patterns(hard_square2, 5), count_patterns(hard_square2, 9)
-    name, row, ok, line = side_checks(hard_square2, 5, c_5, c_9, Side(hard_square2, 5, 100))[0]
+    name, row, ok, line = side_checks(Side(hard_square2, 5, 100), c_5, c_9)[0]
     assert (name, row, ok) == ("key_inequality", 5, None)
     assert line == "more than 100 boundary-state keys at side 5"
 

@@ -200,8 +200,8 @@ def test_table_that_misses_the_count_exits_three(capsys, monkeypatch):
 
     real = gluing_mod.state_counts
 
-    def short(model, n, **shared):
-        table = real(model, n, **shared)
+    def short(side):
+        table = real(side)
         table.popitem()
         return table
 
@@ -587,7 +587,7 @@ REJECTED = [
      "sftbounds: error: argument COMMAND: invalid choice: '--'"
      " (choose from 'count', 'bounds', 'verify', 'glue-demo')"),
     ("--builtin hard-square --dim 2",
-     "a command is required (count, bounds, verify, glue-demo)"),
+     "sftbounds: error: a command is required (count, bounds, verify, glue-demo)"),
 ]
 
 

@@ -8,6 +8,7 @@ from sftbounds import (
     CubePattern,
     GlueError,
     GlueInput,
+    Side,
     builtin_model,
     count_patterns,
     glue,
@@ -272,15 +273,15 @@ def test_extension_implies_monotone_counts(hard_square2, coloring3_d2):
 
 
 def test_key_inequality_hard_square(hard_square2):
-    lhs, rhs, holds = verify_key_inequality(
-        hard_square2, 2, count_patterns(hard_square2, 3), 7
-    )
-    assert (lhs, rhs, holds) == (63, 35, True)
+    c_3 = count_patterns(hard_square2, 3)
+    assert verify_key_inequality(Side(hard_square2, 2), c_3, 7) == (35, True)
+    assert c_3 == 63
 
 
 def test_key_inequality_full_shift_line_equality():
     model = full_shift(3, 1)
-    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3), 9)
+    lhs = count_patterns(model, 3)
+    rhs, holds = verify_key_inequality(Side(model, 2), lhs, 9)
     assert holds
     assert lhs == rhs == 27
 
@@ -292,22 +293,22 @@ def test_key_inequality_table_must_sum_to_the_count(monkeypatch, hard_square2):
 
     real = gluing.state_counts
 
-    def short(model, n, **shared):
-        table = real(model, n, **shared)
+    def short(side):
+        table = real(side)
         table.popitem()
         return table
 
     monkeypatch.setattr(gluing, "state_counts", short)
     with pytest.raises(RuntimeError, match="side 2 does not sum to 7"):
-        verify_key_inequality(hard_square2, 2, 63, 7)
+        verify_key_inequality(Side(hard_square2, 2), 63, 7)
     with pytest.raises(RuntimeError, match="does not sum to"):
         build_report(hard_square2, 3)
 
 
 def test_key_inequality_empty_model():
     model = forbid_axis_model()
-    lhs, rhs, holds = verify_key_inequality(model, 2, count_patterns(model, 3), 0)
-    assert (lhs, rhs, holds) == (0, 0, True)
+    assert count_patterns(model, 3) == 0
+    assert verify_key_inequality(Side(model, 2), 0, 0) == (0, True)
 
 
 def test_concatenation_fails_where_glue_succeeds(hard_square2):

@@ -323,12 +323,16 @@ def test_verify_shares_side_n(monkeypatch):
 def test_side_is_checked_against_its_use(hard_square2, coloring3_d2):
     side = Side(hard_square2, 4)
     assert count_patterns(hard_square2, 4, side=side) == 1234
-    assert sum(state_counts(hard_square2, 4, side=side).values()) == 1234
     for args in ((coloring3_d2, 4), (hard_square2, 5), (hard_square2, 4, 10 ** 6)):
         with pytest.raises(ValueError, match="not side"):
             count_patterns(*args, side=side)
-        with pytest.raises(ValueError, match="not side"):
-            state_counts(*args, side=side)
+
+
+def test_n_below_one_is_refused_by_the_side(hard_square2):
+    # one check, in Side: the count builds its side before anything else
+    for make in (Side, count_patterns, count_via_transfer):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            make(hard_square2, 0)
 
 
 def test_slice_space_matches_dict_walk(hard_square2, hard_square3, coloring3_d2):
@@ -1239,14 +1243,14 @@ def test_state_counts_match_dfs_per_state(hard_square2, hard_square3, coloring3_
             cases += [(model, n) for n in range(1, 4 if d == 2 else 3)]
     for model, n in cases:
         expected = count_by_state(model, n)
-        assert decode_states(model, n, state_counts(model, n)) == expected
+        assert decode_states(model, n, state_counts(Side(model, n))) == expected
 
 
 def test_state_counts_d1_is_the_dfs_table():
     # no earlier slice has a shell cell: the key is (0, last cell's value)
     for model in one_dimensional_models():
         for n in range(1, 9 if model.num_symbols <= 3 else 4):
-            table = state_counts(model, n)
+            table = state_counts(Side(model, n))
             assert {prefix for prefix, _ in table} <= {0}
             assert decode_states(model, n, table) == count_by_state(model, n)
 
@@ -1255,7 +1259,7 @@ def test_state_counts_d1_is_the_dfs_table():
 @given(symmetric_models_d2(), st.integers(1, 3))
 def test_state_counts_agree_with_dfs_random(model, n):
     # at most 3^9 patterns, far under the DFS node budget
-    assert decode_states(model, n, state_counts(model, n)) == count_by_state(model, n)
+    assert decode_states(model, n, state_counts(Side(model, n))) == count_by_state(model, n)
 
 
 def test_state_counts_pinned_sizes(hard_square2, hard_square3, coloring3_d2):
@@ -1265,7 +1269,7 @@ def test_state_counts_pinned_sizes(hard_square2, hard_square3, coloring3_d2):
         (coloring3_d2, 5, 768, 580_986),
         (hard_square3, 3, 4_182, 70_633),
     ]:
-        table = state_counts(model, n)
+        table = state_counts(Side(model, n))
         assert (len(table), sum(table.values())) == (states, total)
         assert total == count_patterns(model, n)
 
@@ -1277,7 +1281,7 @@ def test_state_counts_need_no_enumeration(monkeypatch, hard_square2):
         raise AssertionError("side-n patterns were enumerated")
 
     monkeypatch.setattr(enumeration_mod, "_admissible_assignments", no_cube_search)
-    table = state_counts(hard_square2, 5)
+    table = state_counts(Side(hard_square2, 5))
     assert sum(c ** 4 for c in table.values()) == 22_937_333_976_547
 
 
@@ -1287,7 +1291,7 @@ def test_state_counts_refused_before_any_product(monkeypatch, hard_square3):
     with pytest.raises(
         BudgetExceededError, match="more than 200 boundary-state keys at side 3"
     ):
-        state_counts(hard_square3, 3, state_budget=200)
+        state_counts(Side(hard_square3, 3, 200))
     # only the slice count of the d = 2 sub-model planned and ran products:
     # 2^9 fillings of a d = 3 slice exceed the budget, while the 2^3 of a
     # d = 2 slice fit it, so that count counts no sub-model of its own
@@ -1299,27 +1303,27 @@ def test_state_counts_refused_before_any_product(monkeypatch, hard_square3):
     with pytest.raises(
         BudgetExceededError, match="more than 19 boundary-state keys at side 3"
     ):
-        state_counts(builtin_model("hard-square", 2), 3, state_budget=19)
+        state_counts(Side(builtin_model("hard-square", 2), 3, 19))
     assert planned == applied == []
 
 
 def test_state_counts_budget_is_fields_times_slices(hard_square2, coloring3_d2):
     # side 5: 2^4 shell prefixes times 13 slices
-    assert len(state_counts(hard_square2, 5, state_budget=16 * 13)) == 89
+    assert len(state_counts(Side(hard_square2, 5, 16 * 13))) == 89
     with pytest.raises(
         BudgetExceededError, match="more than 207 boundary-state keys at side 5"
     ):
-        state_counts(hard_square2, 5, state_budget=16 * 13 - 1)
+        state_counts(Side(hard_square2, 5, 16 * 13 - 1))
     # the default budget: hard-square 2^12 * 610 and coloring:3 3^7 * 384
     # fit; 2^13 * 987 and 3^8 * 768 are refused
     for model, n in [(hard_square2, 14), (coloring3_d2, 9)]:
         with pytest.raises(BudgetExceededError, match=f"keys at side {n}"):
-            state_counts(model, n)
+            state_counts(Side(model, n))
 
 
 def assert_table_matches_groups(model, n):
     expected = state_counts_by_groups(model, n)
-    assert state_counts(model, n) == expected, (model, n)
+    assert state_counts(Side(model, n)) == expected, (model, n)
     return expected
 
 
@@ -1343,7 +1347,7 @@ def test_state_counts_full_shift_fills_every_field():
     for q, d, sides in [(2, 2, range(1, 10)), (3, 2, range(1, 4)), (2, 3, range(1, 3))]:
         model = full_shift(q, d)
         for n in sides:
-            table = state_counts(model, n)
+            table = state_counts(Side(model, n))
             assert set(table.values()) == {q ** ((n - 1) ** d)}
             assert len(table) == q ** (n ** d - (n - 1) ** d)
             if len(table) <= 5000:
@@ -1374,7 +1378,7 @@ def test_state_counts_match_group_walk_random_d3(case):
 def test_state_counts_budget(hard_square2):
     # 89 boundary states at side 5, over a budget the 13 slices fit in
     with pytest.raises(BudgetExceededError, match="boundary-state keys at side 5"):
-        state_counts(hard_square2, 5, state_budget=40)
+        state_counts(Side(hard_square2, 5, 40))
 
 
 def test_budget_error_lives_with_the_budgets():
