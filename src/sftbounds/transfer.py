@@ -25,8 +25,12 @@ pairs (kept, gathers): the kept symbols' masks, and the row or column gathers.
 The plan reads its lists off the slice listing.  The slices are the
 prefixes of full length, listed level by level by one prefix recursion
 (``_extend_prefixes``): level k holds the within-slice-admissible
-prefixes of k cells, ascending, grouped by cell k-1, which the next step
-reads off the groups.  A phase's prefixes are a selection of a level, and
+prefixes of k cells, ascending, so grouped by cell k-1.  Every check of
+cell k reads one of the last K cells, K = n^(d-2) the longest
+within-slice predecessor offset (1 for d <= 2), and the prefixes that share those K
+cells (a segment) are contiguous: a step decides each segment once, and
+each symbol's mask and part of the next level are whole segments, joined
+as bytes and list slices.  A phase's prefixes are a selection of a level, and
 so are its suffixes, by the point reflection R of a slice (cell j to cell
 w-1-j).  R maps a pair of neighbors along a slice axis to the same pair
 reversed, and every forbidden set is symmetric, so R maps slices to
@@ -115,38 +119,72 @@ def _phase_checks(model: SftModel, n: int):
 
 
 def _extend_prefixes(
-    prefixes: list[int], checks: tuple, p: int, q: int, groups: list
-) -> tuple[list, list[int]]:
+    level: tuple, checks: tuple, p: int, q: int, k: int, budget: int
+) -> tuple[list, tuple | None]:
     """One step of the prefix recursion: the next slice's cell p.
 
-    ``prefixes`` pack cells 0..p-1 (cell j at digit j), grouped by cell
-    p-1 as ``groups``, the previous step; ``checks`` is ``_phase_checks``'s
-    entry for cell p.  Lists (v, mask, size) for each v that some prefix
-    takes, ``mask`` the 0/1 bytes over ``prefixes`` of those that take v
-    (None when every symbol passes every check), with the extended
-    prefixes, v-major: ascending when ``prefixes`` are."""
-    # each within-slice predecessor of cell p as a digit, but cell p-1 (None)
-    held = []
-    for div, wmasks in checks:
-        ys = None if div * q == q ** p else map(floordiv, prefixes, repeat(div))
-        held.append((ys and list(map(mod, ys, repeat(q))), wmasks))
-    kept = []
+    ``level`` is (prefixes, segments): the prefixes pack cells 0..p-1
+    (cell j at digit j), ascending, so those that share the window of
+    cells p-k..p-1 are contiguous, and ``segments`` lists each such run
+    as [head, size], ``head`` its first prefix.  ``checks``, cell p's
+    entry of ``_phase_checks``, read only window cells (k is the longest
+    offset), so a segment's head decides which v all of it allows.
+
+    Lists (v, mask, size) for each v that some prefix takes, ``mask``
+    the 0/1 bytes over the prefixes, joined from the runs of v's allowed
+    segments (None when every symbol passes every check), and returns it
+    with level p+1: per kept v, the list slices of its runs plus v*q^p
+    (for v = 0 the slices alone, sharing the previous level's ints), and
+    its allowed segments, the window shifted (cell p-k dropped, v
+    appended) and neighbours that now agree merged.  The sizes are known
+    before the lists are built: the level is None, unbuilt, when it would
+    hold more than ``budget`` prefixes."""
+    prefixes, segments = level
+    every = -1  # the v that every check allows next to every symbol
+    for _, wmasks in checks:
+        every &= reduce(and_, wmasks)
+    # per segment: the v it allows, and its cells p+1-k..p-1 (kept by the shift)
+    allows, keys, cut = [], [], q ** max(p + 1 - k, 0)
+    for head, _ in segments:
+        ok = -1
+        for div, wmasks in checks:
+            ok &= wmasks[head // div % q]
+        allows.append(ok)
+        keys.append(head // cut)
+    kept, new, new_segments, total, qp = [], [], [], 0, q ** p
     for v in range(q):
+        # runs: [start, stop] in level p; parts: v's segments of level p+1
+        runs, parts, at, last, size, top = [], [], 0, None, 0, v * qp
+        for (head, length), key, ok in zip(segments, keys, allows):
+            if ok >> v & 1:
+                if runs and runs[-1][1] == at:
+                    runs[-1][1] += length
+                else:
+                    runs.append([at, at + length])
+                if key == last:
+                    parts[-1][1] += length
+                else:
+                    parts.append([head + top, length])
+                    last = key
+                size += length
+            at += length
+        if not size:
+            continue
+        total += size
+        if total > budget:
+            return kept, None
         mask = None
-        for digits, wmasks in held:
-            ok = bytes(m >> v & 1 for m in wmasks)
-            if 0 in ok:
-                sel = b"".join(ok[a:a + 1] * size for a, _, size in groups) \
-                    if digits is None else bytes(map(ok.__getitem__, digits))
-                mask = sel if mask is None else bytes(map(and_, mask, sel))
-        size = len(prefixes) if mask is None else mask.count(1)
-        if size:
-            kept.append((v, mask, size))
-    new = []
-    for v, mask, _ in kept:
-        ys = prefixes if mask is None else compress(prefixes, mask)
-        new.extend(map(add, ys, repeat(v * q ** p)))
-    return kept, new
+        if not every >> v & 1:
+            bits, end = [], 0
+            for i, j in runs:
+                bits += bytes(i - end), b"\1" * (j - i)
+                end = j
+            mask = b"".join(bits) + bytes(at - end)
+        kept.append((v, mask, size))
+        for i, j in runs:
+            new.extend(map(add, prefixes[i:j], repeat(top)) if v else prefixes[i:j])
+        new_segments += parts
+    return kept, (new, new_segments)
 
 
 def build_slice_space(
@@ -158,12 +196,14 @@ def build_slice_space(
     """The admissible (d-1)-cube slices of side n, ascending.
 
     The slices are the prefixes of full length, listed by the prefix
-    recursion (``_extend_prefixes``), whose steps' (v, mask, size)
-    lists are appended to ``steps`` when given.  For d >= 2 the slice
-    count (the sub-model's C_n) is checked against ``state_budget``
-    first, unless the q^w fillings of a slice fit the budget, when no
-    level can exceed it; only then are the cells' checks built, and each
-    level is checked against the budget.
+    recursion (``_extend_prefixes``) on segments, the runs of a level
+    that share their last k cells, k = n^(d-2) the longest within-slice
+    predecessor offset (1 for d <= 2); its steps' (v, mask, size) lists
+    are appended to ``steps`` when given.  For d >= 2 the slice count
+    (the sub-model's C_n) is checked against ``state_budget`` first,
+    unless the q^w fillings of a slice fit the budget, when no level can
+    exceed it; only then are the cells' checks built, and each level's
+    size is checked against the budget before the level is built.
     """
     q, w = model.num_symbols, n ** (model.dimension - 1)
     # q^w > budget without a huge power: for q >= 2 both hold from w = bit length on
@@ -173,16 +213,17 @@ def build_slice_space(
         and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
     ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
-    prefixes, kept = [0], []
+    k = n ** max(model.dimension - 2, 0)
+    level = [0], [[0, 1]]
     for p, checks in enumerate(_phase_checks(model, n)):
-        kept, prefixes = _extend_prefixes(prefixes, checks, p, q, kept)
-        if steps is not None:
-            steps.append(kept)
-        if len(prefixes) > state_budget:
+        kept, level = _extend_prefixes(level, checks, p, q, k, state_budget)
+        if level is None:
             raise BudgetExceededError(
                 f"more than {state_budget} live transfer states at side {n}"
             )
-    return prefixes
+        if steps is not None:
+            steps.append(kept)
+    return level[0]
 
 
 def _reversals(q: int, k: int) -> list[int]:

@@ -40,3 +40,9 @@ def test_side_timings_script():
     proc = run_script("side_timings.py", "coloring:3", "2", "3", "1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].split()[:2] == ["3", "12"]
+    # d = 3: windows of n cells in the listing
+    proc = run_script("side_timings.py", "hard-square", "3", "2-3", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["2", "7"], ["3", "63"]]
+    assert all(len(row) == 7 for row in rows)

@@ -1074,10 +1074,13 @@ def test_plan_matches_reference(hard_square2, hard_square3, coloring3_d2):
 
 
 def assert_listing_matches_reference(model, n):
-    """The listing reads cell p-1 off the previous step's groups; its
-    slices and steps must be the reference recursion's, level by level,
-    with a mask of None exactly when every symbol passes every check of
-    the cell (not when the symbols that fail are absent from the level)."""
+    """The listing decides each cell once per segment, a run of prefixes
+    that share their last K cells (K = n^(d-2), the longest predecessor
+    offset), and joins each mask from whole segments; its slices and
+    steps must be the reference digit recursion's, level by level, with a
+    mask of None exactly when every symbol passes every check of the cell
+    (not when its segments cover the level, as when the symbols that
+    fail are absent from it)."""
     q = model.num_symbols
     side = Side(model, n)
     slices = side.slices()
@@ -1107,6 +1110,52 @@ def test_listing_steps_match_reference():
         (builtin_model("hard-square", 3), 3),
     ]:
         assert_listing_matches_reference(model, n)
+    # windows of n and n^2 cells, and segments split by three symbols
+    for model, n in [
+        (builtin_model("hard-square", 4), 3), (builtin_model("hard-square", 5), 2),
+        (builtin_model("hard-square", 6), 2), (builtin_model("coloring", 3, 3), 4),
+        *((split_axes_model(), n) for n in range(1, 5)),
+    ]:
+        assert_listing_matches_reference(model, n)
+
+
+def split_axes_model():
+    """d = 3 on three symbols whose slice axes forbid different pairs:
+    axis 1 forbids a next to b, axis 2 b next to b and c next to c."""
+    doc = {
+        "dimension": 3,
+        "alphabet": ["a", "b", "c"],
+        "forbidden": [
+            [["a", "b"], ["b", "a"]],
+            [["b", "b"], ["c", "c"]],
+            [["a", "a"]],
+        ],
+    }
+    return parse_model(json.dumps(doc))
+
+
+def test_level_budget_refuses_before_the_level_is_built(monkeypatch):
+    # d = 3 with every pair forbidden along slice axis 1: side 10 has no
+    # slice, so the preflight passes, but the first row of 10 cells takes
+    # all 2^10 fillings.  At a budget one under that, the listing refuses
+    # that level from its segments' sizes: no level the recursion returns
+    # holds more than the budget
+    import sftbounds.transfer as transfer_mod
+
+    real = transfer_mod._extend_prefixes
+    sizes = []
+
+    def spy(level, checks, p, q, k, budget):
+        kept, level = real(level, checks, p, q, k, budget)
+        if k == 10:  # the d = 3 listing, not the preflight's d = 2 one
+            sizes.append(None if level is None else len(level[0]))
+        return kept, level
+
+    monkeypatch.setattr(transfer_mod, "_extend_prefixes", spy)
+    refusal = "more than 1023 live transfer states at side 10"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        build_slice_space(forbid_axis_model(3), 10, 1023)
+    assert sizes == [2 ** k for k in range(1, 10)] + [None]
 
 
 def test_plans_run_no_prefix_recursion(monkeypatch, hard_square2, coloring3_d2):
