@@ -9,18 +9,21 @@ inside some block, so the union is admissible for a symmetric model.
 
 Gluing a single pattern with itself in all 2^d slots yields opposite-face
 coincidence, which gives the periodic core (a side-(2n-2) pattern that
-tiles space).  Every placement and face below is one
-``patterns.cube_index`` list.
+tiles space).  Every placement, face and wrap below is one
+``patterns.cube_index`` list, read through one gather cached per (n, d).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import chain
 
 from .models import SftModel, _Value
 from .patterns import (
     CubePattern,
     cube_index,
+    gather,
     is_locally_admissible,
-    restrict,
     surface_state,
 )
 from .transfer import Side, state_counts
@@ -32,6 +35,11 @@ class GlueError(ValueError):
 
 class CountMismatchError(RuntimeError):
     """Two exact computations of one count disagree: a bug signal."""
+
+
+def _check_dimension(model: SftModel, p: CubePattern) -> None:
+    if p.d != model.dimension:
+        raise GlueError(f"pattern dimension {p.d} does not match model dimension {model.dimension}")
 
 
 class GlueInput(_Value, frozen=True):
@@ -47,18 +55,33 @@ class GlueInput(_Value, frozen=True):
                 f"got {len(patterns)}"
             )
         first = patterns[0]
+        _check_dimension(model, first)
         for p in patterns:
             if (p.n, p.d) != (first.n, first.d):
                 raise GlueError("all patterns must share one side length")
-            if p.d != d:
-                raise GlueError(
-                    f"pattern dimension {p.d} does not match model dimension {d}"
-                )
         self.__dict__.update(model=model, patterns=patterns)
 
     @property
     def n(self) -> int:
         return self.patterns[0].n
+
+
+@lru_cache(maxsize=64)
+def _placement(n: int, d: int) -> tuple:
+    """Gathers over the blocks laid end to end (cell i of block t at t*n^d + i):
+    the glued cube, each cell from its first cover; the first and the later
+    cover of each shared cell, in block-then-cell order of the later; the cells."""
+    owner, pairs = [-1] * (2 * n - 1) ** d, []
+    for t in range(1 << d):
+        # cell y of block t sits at 2n-2-y_k on each axis k that t flips
+        axes = [range(2 * n - 2, n - 2, -1) if t >> k & 1 else range(n) for k in range(d)]
+        for i, gi in enumerate(cube_index(2 * n - 1, axes), t * n ** d):
+            if owner[gi] < 0:
+                owner[gi] = i
+            else:
+                pairs.append((owner[gi], i, gi))
+    firsts, laters, cells = zip(*pairs)
+    return gather(owner), gather(firsts), gather(laters), cells
 
 
 def glue(inp: GlueInput) -> CubePattern:
@@ -69,8 +92,6 @@ def glue(inp: GlueInput) -> CubePattern:
     here instead of producing a silently inadmissible pattern.
     """
     model, pats = inp.model, inp.patterns
-    d = model.dimension
-    n = inp.n
     state0 = surface_state(pats[0])
     for t, p in enumerate(pats):
         if t and p is pats[t - 1]:
@@ -80,22 +101,12 @@ def glue(inp: GlueInput) -> CubePattern:
         if t and surface_state(p) != state0:
             raise GlueError(f"input pattern {t} does not share the common state")
 
-    side = 2 * n - 1
-    out: list[int] = [-1] * side ** d
-    for t, p in enumerate(pats):
-        # cell y of block t sits at 2n-2-y_k on each axis k that t flips
-        axes = tuple(
-            range(2 * n - 2, n - 2, -1) if t >> k & 1 else range(n)
-            for k in range(d)
-        )
-        for gi, v in zip(cube_index(side, axes), p.values):
-            if out[gi] < 0:
-                out[gi] = v
-            elif out[gi] != v:
-                raise GlueError(
-                    f"blocks disagree on shared cell {gi} despite equal states"
-                )
-    return CubePattern(side, d, tuple(out))
+    cube, firsts, laters, cells = _placement(inp.n, model.dimension)
+    values = tuple(chain.from_iterable(p.values for p in pats))
+    if firsts(values) != laters(values):
+        gi = next(gi for gi, a, b in zip(cells, firsts(values), laters(values)) if a != b)
+        raise GlueError(f"blocks disagree on shared cell {gi} despite equal states")
+    return CubePattern(2 * inp.n - 1, model.dimension, cube(values))
 
 
 def glue_single(model: SftModel, p: CubePattern) -> CubePattern:
@@ -103,18 +114,22 @@ def glue_single(model: SftModel, p: CubePattern) -> CubePattern:
     return glue(GlueInput(model, (p,) * (1 << model.dimension)))
 
 
-def _face(p: CubePattern, k: int, x: int) -> tuple[int, ...]:
-    """Values on the hyperplane x_k = x (internal axis k), row-major."""
-    axes = [range(p.n)] * p.d
-    axes[k] = (x,)
-    return tuple(map(p.values.__getitem__, cube_index(p.n, tuple(axes))))
+@lru_cache(maxsize=64)
+def _faces(n: int, d: int) -> tuple:
+    """Gathers of a side-n cube: the corner [0,n-1)^d, and per axis k the
+    hyperplanes x_k = 0 and x_k = n-1."""
+    full = [range(n)] * d
+    ends = tuple(tuple(gather(cube_index(n, full[:k] + [(x,)] + full[k + 1:])) for x in (0, n - 1))
+                 for k in range(d))
+    return gather(cube_index(n, [range(n - 1)] * d)), ends
 
 
 def opposite_faces_equal(p: CubePattern, axis: int) -> bool:
     """Whether the first and last hyperplane along an axis coincide."""
     if not 1 <= axis <= p.d:
         raise ValueError(f"axis {axis} out of range 1..{p.d}")
-    return _face(p, axis - 1, 0) == _face(p, axis - 1, p.n - 1)
+    near, far = _faces(p.n, p.d)[1][axis - 1]
+    return near(p.values) == far(p.values)
 
 
 def periodic_core(model: SftModel, glued: CubePattern) -> CubePattern:
@@ -125,22 +140,27 @@ def periodic_core(model: SftModel, glued: CubePattern) -> CubePattern:
     verified explicitly: a violation means a construction bug, since the
     symmetry argument guarantees it.
     """
-    side = glued.n
+    _check_dimension(model, glued)
+    side, d = glued.n, glued.d
     if side < 3 or side % 2 == 0:
         raise GlueError(f"periodic core needs an odd glued side >= 3, got {side}")
-    core = restrict(glued, side - 1)
-    for k, allowed_k in enumerate(model.allowed):
+    core = CubePattern(side - 1, d, _faces(side, d)[0](glued.values))
+    for k, (allowed_k, (near, far)) in enumerate(zip(model.allowed, _faces(side - 1, d)[1])):
         if not opposite_faces_equal(glued, k + 1):
             raise GlueError(
                 f"glued pattern faces differ along axis {k + 1}; "
                 "was it built from a single pattern?"
             )
-        far, near = _face(core, k, core.n - 1), _face(core, k, 0)
-        if not all(allowed_k[a][b] for a, b in zip(far, near)):
+        if not all(allowed_k[a][b] for a, b in zip(far(core.values), near(core.values))):
             raise GlueError(
                 f"periodic core is not wrap-admissible along axis {k + 1}"
             )
     return core
+
+
+@lru_cache(maxsize=64)
+def _tiling(m: int, d: int):
+    return gather(cube_index(m, [[x % m for x in range(2 * m)]] * d))
 
 
 def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
@@ -149,10 +169,8 @@ def tiling_witness(model: SftModel, core: CubePattern) -> CubePattern:
     Local admissibility of the witness certifies that the core extends
     periodically across every seam.
     """
-    m = core.n
-    wrap = tuple(x % m for x in range(2 * m))
-    index = cube_index(m, (wrap,) * core.d)
-    return CubePattern(2 * m, core.d, tuple(map(core.values.__getitem__, index)))
+    _check_dimension(model, core)
+    return CubePattern(2 * core.n, core.d, _tiling(core.n, core.d)(core.values))
 
 
 def glue_and_check(

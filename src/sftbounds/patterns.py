@@ -4,7 +4,7 @@ A pattern assigns a symbol id to every cell of the cube [0,n)^d, stored
 row-major: cell x = (x_1,...,x_d) sits at linear index sum(x_k * n^(d-k)),
 so axis 1 is the outermost (slowest) coordinate.  Coordinates are 0-based
 internally.  Every sub-cube, face or reflected copy the package reads or
-writes is one ``cube_index`` list of linear indices.
+writes is one ``cube_index`` list, read by a ``gather`` cached per shape.
 
 All operations are pure and return fresh patterns.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
+from operator import itemgetter
 
 from .models import Alphabet, SftModel, _Value
 
@@ -28,20 +29,23 @@ def predecessors(n: int, d: int) -> list[tuple[tuple[int, int], ...]]:
     return table
 
 
-@lru_cache(maxsize=256)
-def cube_index(n: int, axes: tuple[Sequence[int], ...]) -> tuple[int, ...]:
+def cube_index(n: int, axes: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Linear indices, in the side-n cube of dimension len(axes), of the
     cells whose coordinate on axis k runs over ``axes[k]``.
 
     Listed row-major over the given coordinates (axes[0] outermost), so a
     gather of a pattern's values by this list is the pattern of the
-    selected cells, in the order the coordinates are given.  Cached per
-    (n, axes), so ``axes`` is a tuple of ranges or tuples.
+    selected cells, in the order the coordinates are given.
     """
     index = [0]
     for xs in axes:
         index = [i * n + x for i in index for x in xs]
     return tuple(index)
+
+
+def gather(index: Sequence[int]):
+    """``itemgetter(*index)``, but a tuple for any length of ``index``."""
+    return itemgetter(*index) if len(index) > 1 else lambda v: tuple(v[i] for i in index)
 
 
 class CubePattern(_Value, frozen=True):
@@ -92,9 +96,13 @@ def surface_indices(n: int, d: int) -> tuple[int, ...]:
     return tuple(i for i in range(n ** d) if i not in inner)
 
 
+@lru_cache(maxsize=256)
+def _shell(n: int, d: int):
+    return gather(surface_indices(n, d))
+
+
 def surface_state(p: CubePattern) -> SurfaceState:
-    vals = p.values
-    return SurfaceState(p.n, p.d, tuple(vals[i] for i in surface_indices(p.n, p.d)))
+    return SurfaceState(p.n, p.d, _shell(p.n, p.d)(p.values))
 
 
 def is_locally_admissible(model: SftModel, p: CubePattern) -> bool:
@@ -113,14 +121,6 @@ def is_locally_admissible(model: SftModel, p: CubePattern) -> bool:
                 if not allowed_k[vals[i]][vals[i + step]]:
                     return False
     return True
-
-
-def restrict(p: CubePattern, m: int) -> CubePattern:
-    """Sub-pattern on [0,m)^d; admissibility is inherited."""
-    if not 1 <= m <= p.n:
-        raise ValueError(f"restriction side {m} out of range 1..{p.n}")
-    index = cube_index(p.n, (range(m),) * p.d)
-    return CubePattern(m, p.d, tuple(map(p.values.__getitem__, index)))
 
 
 def format_pattern(p: CubePattern, alphabet: Alphabet) -> str:

@@ -56,6 +56,8 @@ def sample_with_state(
     checks: list | None = None,
 ) -> CubePattern:
     """One admissible pattern whose boundary state equals ``state``."""
+    if state.d != model.dimension:
+        raise ValueError(f"state dimension {state.d} does not match model dimension {model.dimension}")
     fixed = dict(zip(surface_indices(state.n, state.d), state.cells))
     p = _randomized_completion(model, state.n, rng, fixed, checks)
     if surface_state(p) != state:

@@ -6,10 +6,11 @@ by cell and compare with ``gluing.glue``, which writes the reflected
 coordinates directly.  ``extend_to_plus_one`` is the side-(n+1) extension
 that makes the counts nondecreasing from side 2 on, and
 ``leading_gap_coefficient`` the degree-(d-1) coefficient of q_d.
-``encode``, ``decode``, ``value_at`` and ``from_nested`` read and build
-patterns by coordinates, as the tests state them.
+``encode``, ``decode``, ``value_at``, ``from_nested`` and ``restrict``
+read and build patterns by coordinates, as the tests state them.
 """
 
+import itertools
 from fractions import Fraction
 
 from sftbounds import (
@@ -19,7 +20,6 @@ from sftbounds import (
     glue_single,
     is_locally_admissible,
 )
-from sftbounds.patterns import restrict
 
 
 def encode(coords, n: int) -> int:
@@ -41,6 +41,14 @@ def decode(index: int, n: int, d: int) -> tuple[int, ...]:
 def value_at(p: CubePattern, coords) -> int:
     """The value of ``p`` at 0-based coordinates."""
     return p.values[encode(coords, p.n)]
+
+
+def restrict(p: CubePattern, m: int) -> CubePattern:
+    """Sub-pattern on [0,m)^d; admissibility is inherited."""
+    if not 1 <= m <= p.n:
+        raise ValueError(f"restriction side {m} out of range 1..{p.n}")
+    cells = itertools.product(range(m), repeat=p.d)
+    return CubePattern(m, p.d, tuple(value_at(p, y) for y in cells))
 
 
 def from_nested(nested) -> CubePattern:

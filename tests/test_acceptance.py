@@ -28,11 +28,10 @@ from sftbounds import (
 )
 from sftbounds.enumeration import count_by_state, count_patterns_dfs, enumerate_patterns
 from sftbounds.gluing import opposite_faces_equal
-from sftbounds.patterns import restrict
 
 from conftest import forbid_axis_model, full_shift, single_symbol_forced
 from oracle import oracle_count_naive
-from paper_defs import extend_to_plus_one, leading_gap_coefficient
+from paper_defs import extend_to_plus_one, leading_gap_coefficient, restrict
 
 ORACLE_LIMIT = 1 << 24
 NEG_INF = float("-inf")

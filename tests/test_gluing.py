@@ -23,10 +23,10 @@ from sftbounds import (
 import sftbounds.gluing as gluing
 from sftbounds.enumeration import count_patterns_dfs, enumerate_patterns
 from sftbounds.gluing import opposite_faces_equal
-from sftbounds.patterns import restrict, surface_indices
+from sftbounds.patterns import surface_indices
 
 from conftest import forbid_axis_model, full_shift
-from paper_defs import compose_flips, extend_to_plus_one, value_at
+from paper_defs import compose_flips, encode, extend_to_plus_one, restrict, value_at
 
 
 def naive_concat(patterns, n, d):
@@ -88,34 +88,63 @@ def test_glue_block_layout():
 
 def glue_by_flips(patterns, n, d):
     """The union of the flipped blocks, cell by cell: block t is
-    ``compose_flips(p_t, t)`` shifted by n-1 along every axis t flips."""
-    out = {}
+    ``compose_flips(p_t, t)`` shifted by n-1 along every axis t flips.
+
+    Visits block by block, each in its pattern's own cell order (cell y
+    of p_t is cell y' of the flipped block, y'_k = n-1-y_k on each axis t
+    flips).  Returns the union, each cell's value from the first block
+    that covers it, and the linear index in the side-(2n-1) cube of the
+    first cell where a later block disagrees with it, or None."""
+    out, conflict = {}, None
     for t, p in enumerate(patterns):
         block = compose_flips(p, t)
         for y in itertools.product(range(n), repeat=d):
-            x = tuple(y[k] + (n - 1) * (t >> k & 1) for k in range(d))
-            assert out.setdefault(x, value_at(block, y)) == value_at(block, y)
-    return out
+            flipped = tuple(n - 1 - y[k] if t >> k & 1 else y[k] for k in range(d))
+            x = tuple(flipped[k] + (n - 1) * (t >> k & 1) for k in range(d))
+            v = value_at(block, flipped)
+            if out.setdefault(x, v) != v and conflict is None:
+                conflict = encode(x, 2 * n - 1)
+    return out, conflict
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False))
-def test_glue_matches_compose_flips_layout(d, n, rng):
-    # distinct interiors around one shared shell, on a model that admits all
-    model = full_shift(5, d)
+def shell_sharing_blocks(d, n, rng, q, noise):
+    """2^d side-n patterns with random interiors around one shell, each
+    shell cell replaced by a random symbol with probability ``noise``."""
     shell = set(surface_indices(n, d))
-    state = {i: rng.randrange(5) for i in shell}
-    patterns = tuple(
+    state = {i: rng.randrange(q) for i in shell}
+    return tuple(
         CubePattern(n, d, tuple(
-            state[i] if i in shell else rng.randrange(5) for i in range(n ** d)
+            state[i] if i in shell and rng.random() >= noise else rng.randrange(q)
+            for i in range(n ** d)
         ))
         for _ in range(1 << d)
     )
-    glued = glue(GlueInput(model, patterns))
-    expected = glue_by_flips(patterns, n, d)
-    assert len(expected) == glued.n ** d == (2 * n - 1) ** d
-    for x, v in expected.items():
-        assert value_at(glued, x) == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False),
+    st.sampled_from([0, 0.02, 0.1, 0.5]),
+)
+def test_glue_matches_compose_flips_layout(d, n, rng, noise):
+    # random interiors around shells that may differ, on a model that
+    # admits all, with the state check let through as in
+    # test_glue_asserts_overlap_agreement: glue raises exactly where the
+    # reference layout finds its first disagreement, and otherwise
+    # returns the reference union (also for the one-cell blocks of n = 1)
+    model = full_shift(3, d)
+    patterns = shell_sharing_blocks(d, n, rng, 3, noise)
+    expected, conflict = glue_by_flips(patterns, n, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gluing, "surface_state", lambda p: None)
+        if conflict is not None:
+            message = f"^blocks disagree on shared cell {conflict} despite equal states$"
+            with pytest.raises(GlueError, match=message):
+                glue(GlueInput(model, patterns))
+            return
+        glued = glue(GlueInput(model, patterns))
+    assert glued.n == 2 * n - 1 and len(expected) == glued.n ** d
+    assert glued.values == tuple(expected[x] for x in sorted(expected))
 
 
 def test_glue_rejects_bad_inputs(hard_square2):
@@ -229,6 +258,24 @@ def test_periodic_core_rejects_wrap_violation(hard_square1):
     # equal end cells, but 1 next to 1 across the wrap
     with pytest.raises(GlueError, match="not wrap-admissible along axis 1"):
         periodic_core(hard_square1, CubePattern(3, 1, (1, 1, 1)))
+
+
+@pytest.mark.parametrize("model_d, pattern_d", [(1, 2), (2, 1), (3, 2)])
+def test_core_and_witness_refuse_a_pattern_of_another_dimension(
+    monkeypatch, model_d, pattern_d
+):
+    # refused before any gather cached per (n, d) is read
+    def unread(*args):
+        raise AssertionError("a gather was read before the dimension check")
+
+    monkeypatch.setattr(gluing, "_faces", unread)
+    monkeypatch.setattr(gluing, "_tiling", unread)
+    model = builtin_model("hard-square", model_d)
+    message = f"^pattern dimension {pattern_d} does not match model dimension {model_d}$"
+    with pytest.raises(GlueError, match=message):
+        periodic_core(model, CubePattern(3, pattern_d, (0,) * 3 ** pattern_d))
+    with pytest.raises(GlueError, match=message):
+        tiling_witness(model, CubePattern(2, pattern_d, (0,) * 2 ** pattern_d))
 
 
 def test_glue_asserts_overlap_agreement(monkeypatch, hard_square2):

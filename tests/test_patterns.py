@@ -11,9 +11,9 @@ from sftbounds import (
     is_locally_admissible,
     surface_state,
 )
-from sftbounds.patterns import restrict, surface_indices
+from sftbounds.patterns import surface_indices
 
-from paper_defs import compose_flips, decode, encode, flip, from_nested, value_at
+from paper_defs import compose_flips, decode, encode, flip, from_nested, restrict, value_at
 
 
 def parse_pattern(text: str, alphabet: Alphabet) -> CubePattern:

@@ -1158,6 +1158,44 @@ def test_level_budget_refuses_before_the_level_is_built(monkeypatch):
     assert sizes == [2 ** k for k in range(1, 10)] + [None]
 
 
+def test_level_budget_refusal_peaks_below_the_built_level(monkeypatch):
+    # the refusal of test_level_budget_refuses_before_the_level_is_built
+    # at side 16: from the 2^15 prefixes of level 15 to a level of 2^16,
+    # one over the budget.  The refusing step must allocate
+    # measurably less at its peak than the same step at a budget that lets
+    # it build that level; a step that builds the level and then refuses
+    # it peaks as high (tracemalloc, so the refusal is judged by what it
+    # allocates, not by what it returns)
+    import tracemalloc
+
+    import sftbounds.transfer as transfer_mod
+
+    real = transfer_mod._extend_prefixes
+    peaks = []
+
+    def traced_peak(*args):
+        tracemalloc.start()
+        try:
+            kept, level = real(*args)
+            return tracemalloc.get_traced_memory()[1], level
+        finally:
+            tracemalloc.stop()
+
+    def spy(level, checks, p, q, k, budget):
+        if k == 16 and p == 15:  # the refused step of the d = 3 listing
+            refused, none = traced_peak(level, checks, p, q, k, budget)
+            built, full = traced_peak(level, checks, p, q, k, budget + 1)
+            peaks.append((refused, built, none, len(full[0])))
+        return real(level, checks, p, q, k, budget)
+
+    monkeypatch.setattr(transfer_mod, "_extend_prefixes", spy)
+    with pytest.raises(BudgetExceededError, match="more than 65535 live transfer states"):
+        build_slice_space(forbid_axis_model(3), 16, 2 ** 16 - 1)
+    [(refused, built, none, size)] = peaks
+    assert none is None and size == 2 ** 16
+    assert refused < 0.95 * built
+
+
 def test_plans_run_no_prefix_recursion(monkeypatch, hard_square2, coloring3_d2):
     # a timing-free guard: the listing of a side runs the prefix recursion
     # once per slice cell, and no plan runs it again
