@@ -7,14 +7,19 @@ the tests check the slice transfer (``transfer.count_patterns``) against.
 
 The search assigns cells in linear-index order, so each new cell is
 constrained only by its already-placed predecessor neighbors (at most one
-per axis); forbidden branches are pruned immediately.  Counts are plain
-Python integers, hence exact at any size.  The node budget raises the
-package's one budget error, ``transfer.BudgetExceededError``.
+per axis); forbidden branches are pruned immediately.  It follows one
+schedule per (model, n) (``_schedule``): the free cells with their checks,
+each followed by the pinned shell cells up to the next, checked right
+after it.  Without pins every cell is free, so the exhaustive order is
+lexicographic.  Counts are plain Python integers, hence exact at any
+size.  The node budget raises the package's one budget error,
+``transfer.BudgetExceededError``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .models import SftModel
 from .patterns import CubePattern, SurfaceState, predecessors, surface_indices
@@ -23,83 +28,100 @@ from .transfer import BudgetExceededError
 DEFAULT_NODE_BUDGET = 50_000_000
 
 
-def _cell_checks(model: SftModel, n: int):
-    """Per cell: (offset, masks) for each already-assigned neighbor axis."""
-    masks = model.allowed_masks
-    return [tuple((off, masks[k]) for off, k in preds)
-            for preds in predecessors(n, model.dimension)]
+@lru_cache(maxsize=64)
+def _schedule(masks: tuple, n: int, d: int, shell: bool) -> tuple:
+    """The search of side n for a model's ``allowed_masks`` (keyed by them,
+    not the model, for a cheap hash): the full mask, the pinned cells (the
+    shell if ``shell``, else none), the pinned cells before the first free
+    one, and the free cells, ascending.  A pinned cell is (cell, checks), a
+    free one (cell, checks, pins, len(pins)) with pins the pinned cells up
+    to the next free one; checks are (index, masks) for each already-placed
+    neighbor."""
+    pinned = surface_indices(n, d) if shell else ()
+    head, free = [], []
+    for i, preds in enumerate(predecessors(n, d)):
+        checks = tuple((i - off, masks[k]) for off, k in preds)
+        if i in pinned:
+            (free[-1][2] if free else head).append((i, checks))
+        else:
+            free.append((i, checks, []))
+    free = tuple((i, c, tuple(pins), len(pins)) for i, c, pins in free)
+    return (1 << len(masks[0])) - 1, pinned, tuple(head), free
 
 
-class _Shuffled:
-    """``values_for_mask`` in a fresh ``rng.shuffle`` order at every lookup."""
-
-    def __init__(self, values, rng):
-        self.values, self.rng = values, rng
-
-    def __getitem__(self, m: int):
-        opts = self.values[m]
-        if len(opts) < 2:  # a shuffle would draw nothing
-            return opts
-        opts = list(opts)
-        self.rng.shuffle(opts)
-        return opts
+def _passing(buf: list[int], pins: tuple, full: int) -> int:
+    """How many of ``pins`` in a row hold the value ``buf`` gives them."""
+    for k, (j, checks) in enumerate(pins):
+        m = full
+        for src, masks in checks:
+            m &= masks[buf[src]]
+        if not m >> buf[j] & 1:
+            return k
+    return len(pins)
 
 
 def _search(
-    model: SftModel, n: int, budget: int, checks: list | None = None,
-    rng=None, fixed: dict[int, int] | None = None,
+    model: SftModel, n: int, budget: int, rng=None, pins: tuple[int, ...] | None = None
 ) -> Iterator[list[int]]:
     """Yield every admissible cube assignment, reusing one value buffer.
 
-    Values are tried in ascending order, or as ``rng.shuffle`` orders them;
-    a cell in ``fixed`` takes only its pinned value.  Each accepted cell
-    assignment costs one unit of budget; running out raises
-    BudgetExceededError.  ``checks`` defaults to ``_cell_checks(model, n)``.
+    Values are tried in ascending order, or as ``rng.shuffle`` orders them.
+    ``pins`` gives the shell cells' values (ascending cells); each pinned
+    cell is checked right after the free cell before it, so its failure
+    sends that free cell to its next value.  Each accepted free-cell value
+    and each pin that passes costs one unit of budget; running out raises
+    BudgetExceededError.
     """
-    cells = n ** model.dimension
-    if checks is None:
-        checks = _cell_checks(model, n)
-    if fixed:  # a pin is one more check: offset 0, one mask whatever is read
-        checks = list(checks)
-        for i, v in fixed.items():
-            checks[i] += ((0, (1 << v,) * model.num_symbols),)
+    full, shell, head, free = _schedule(model.allowed_masks, n, model.dimension, pins is not None)
     vfm = model.values_for_mask
-    if rng:
-        vfm = _Shuffled(vfm, rng)
-    full = model.full_mask
-
-    buf = [0] * cells
-    cand: list = [()] * cells
-    pos = [0] * cells
-    m = full
-    for _, masks in checks[0]:  # pins only: no cell precedes cell 0
-        m &= masks[0]
-    cand[0] = vfm[m]
-    depth = 0
-    while depth >= 0:
-        options = cand[depth]
-        p = pos[depth]
-        if p == len(options):
-            depth -= 1
-            continue
-        pos[depth] = p + 1
-        buf[depth] = options[p]
-        budget -= 1
-        if budget < 0:
-            raise BudgetExceededError(
-                f"node budget exhausted enumerating side {n} in dimension "
-                f"{model.dimension}"
-            )
-        nxt = depth + 1
-        if nxt == cells:
-            yield buf
-            continue
+    buf = [0] * n ** model.dimension
+    for i, v in zip(shell, pins or ()):
+        buf[i] = v
+    k = _passing(buf, head, full)
+    budget -= k
+    if budget < 0:
+        raise _exhausted(model, n)
+    if k < len(head):
+        return
+    if not free:  # side 1, pinned
+        yield buf
+        return
+    depth, top = 0, len(free) - 1
+    values = [None] * len(free)
+    while True:
+        i, checks, after, placed = free[depth]  # free cell ``depth``: its candidates
         m = full
-        for off, masks in checks[nxt]:
-            m &= masks[buf[nxt - off]]
-        cand[nxt] = vfm[m]
-        pos[nxt] = 0
-        depth = nxt
+        for src, masks in checks:
+            m &= masks[buf[src]]
+        opts = vfm[m]
+        if rng and m & (m - 1):  # two values or more
+            opts = list(opts)
+            rng.shuffle(opts)
+        values[depth] = untried = iter(opts)
+        while True:  # its next value and the pins after it
+            for v in untried:
+                buf[i] = v
+                k = _passing(buf, after, full) if after else 0
+                budget -= 1 + k
+                if budget < 0:
+                    raise _exhausted(model, n)
+                if k == placed:
+                    if depth < top:
+                        break
+                    yield buf
+            else:  # no value left: back to the free cell before
+                if not depth:
+                    return
+                depth -= 1
+                i, _, after, placed = free[depth]
+                untried = values[depth]
+                continue
+            break
+        depth += 1
+
+
+def _exhausted(model: SftModel, n: int) -> BudgetExceededError:
+    return BudgetExceededError(f"node budget exhausted enumerating side {n} in dimension {model.dimension}")
 
 
 def _admissible_assignments(

@@ -166,10 +166,6 @@ class SftModel(_Value, frozen=True):
                     break
         return tuple(reps)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.num_symbols) - 1
-
     @cached_property
     def values_for_mask(self) -> _MaskValues:
         """Mask -> ascending symbol ids, filled on first lookup."""

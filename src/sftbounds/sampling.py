@@ -1,10 +1,11 @@
 """Seeded sampling of admissible patterns and same-state pattern groups.
 
 Every draw is the first leaf of the package's one backtracking search,
-``enumeration._search``, with shuffled value orders and some cells pinned
-or none.  The shuffles come from a caller-supplied ``random.Random``, so
-identical seeds give identical draws.  Used by ``verify`` (through
-``check_glued_samples``), the gluing demos and the property tests.
+``enumeration._search``, with shuffled value orders and the shell pinned
+to a boundary state or free.  The shuffles come from a caller-supplied
+``random.Random``, so identical seeds give identical draws.  Used by
+``verify`` (through ``check_glued_samples``), the gluing demos and the
+property tests.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import random
 
 from .models import SftModel
-from .patterns import CubePattern, SurfaceState, surface_indices, surface_state
-from .enumeration import BudgetExceededError, _cell_checks, _search
+from .patterns import CubePattern, SurfaceState, surface_state
+from .enumeration import BudgetExceededError, _search
 from .gluing import glue_and_check
 
 DEFAULT_ATTEMPT_BUDGET = 200_000
@@ -24,49 +25,42 @@ class SamplingError(RuntimeError):
 
 
 def _randomized_completion(
-    model: SftModel, n: int, rng: random.Random,
-    fixed: dict[int, int] | None = None, checks: list | None = None,
+    model: SftModel, n: int, rng: random.Random, pins: tuple[int, ...] | None = None
 ) -> CubePattern:
-    """The first leaf of the shuffled ``_search``; cells in ``fixed`` are
-    pinned to the given ids.  Raises SamplingError when the budget runs
-    out or the search space is exhausted."""
+    """The first leaf of the shuffled ``_search``, its shell pinned to
+    ``pins`` when given.  Raises SamplingError when the budget runs out or
+    the search space is exhausted."""
     try:
-        for buf in _search(model, n, DEFAULT_ATTEMPT_BUDGET, checks, rng, fixed):
+        for buf in _search(model, n, DEFAULT_ATTEMPT_BUDGET, rng, pins):
             return CubePattern(n, model.dimension, tuple(buf))
     except BudgetExceededError:
         raise SamplingError(
             f"no admissible pattern found within {DEFAULT_ATTEMPT_BUDGET} steps"
         ) from None
-    raise SamplingError(f"model admits no side-{n} pattern")
+    if pins is None:
+        raise SamplingError(f"model admits no side-{n} pattern")
+    raise SamplingError(f"no side-{n} pattern has the requested boundary state")
 
 
-def sample_admissible(
-    model: SftModel, n: int, rng: random.Random, checks: list | None = None
-) -> CubePattern:
+def sample_admissible(model: SftModel, n: int, rng: random.Random) -> CubePattern:
     """One admissible pattern, chosen by randomized backtracking search."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _randomized_completion(model, n, rng, checks=checks)
+    return _randomized_completion(model, n, rng)
 
 
-def sample_with_state(
-    model: SftModel,
-    state: SurfaceState,
-    rng: random.Random,
-    checks: list | None = None,
-) -> CubePattern:
+def sample_with_state(model: SftModel, state: SurfaceState, rng: random.Random) -> CubePattern:
     """One admissible pattern whose boundary state equals ``state``."""
     if state.d != model.dimension:
         raise ValueError(f"state dimension {state.d} does not match model dimension {model.dimension}")
-    fixed = dict(zip(surface_indices(state.n, state.d), state.cells))
-    p = _randomized_completion(model, state.n, rng, fixed, checks)
+    p = _randomized_completion(model, state.n, rng, state.cells)
     if surface_state(p) != state:
         raise AssertionError("completion does not realize the requested state")
     return p
 
 
 def sample_same_state_group(
-    model: SftModel, n: int, count: int, rng: random.Random, checks: list | None = None
+    model: SftModel, n: int, count: int, rng: random.Random
 ) -> list[CubePattern]:
     """``count`` admissible patterns sharing one boundary state.
 
@@ -78,16 +72,15 @@ def sample_same_state_group(
     exists, so a completion never costs more steps than that enumeration.
     A model with no side-n pattern raises ``SamplingError``, and every
     admissible pattern can be the anchor, so every realized state can be
-    drawn.  Draws are not uniform within a group.  ``checks`` is
-    ``_cell_checks(model, n)``, computed per draw when not given.
+    drawn.  Draws are not uniform within a group.
     """
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    anchor_pattern = sample_admissible(model, n, rng, checks)
+    anchor_pattern = sample_admissible(model, n, rng)
     anchor = surface_state(anchor_pattern)
     out = [anchor_pattern]
     while len(out) < count:
-        out.append(sample_with_state(model, anchor, rng, checks))
+        out.append(sample_with_state(model, anchor, rng))
     return out
 
 
@@ -98,11 +91,10 @@ def check_glued_samples(
     (``gluing.glue_and_check``), up to the first that fails: (groups
     checked, no check failed).  A draw that raises SamplingError is
     skipped, up to 10 of them; the 11th is raised."""
-    checks = _cell_checks(model, n)
     checked = failures = 0
     for _ in range(samples):
         try:
-            group = sample_same_state_group(model, n, 1 << model.dimension, rng, checks)
+            group = sample_same_state_group(model, n, 1 << model.dimension, rng)
         except SamplingError:
             failures += 1
             if failures > 10:

@@ -136,32 +136,35 @@ def _extend_prefixes(
     with level p+1: per kept v, the list slices of its runs plus v*q^p
     (for v = 0 the slices alone, sharing the previous level's ints), and
     its allowed segments, the window shifted (cell p-k dropped, v
-    appended) and neighbours that now agree merged.  The sizes are known
-    before the lists are built: the level is None, unbuilt, when it would
-    hold more than ``budget`` prefixes."""
+    appended) and neighbours that now agree merged.  The level's size is
+    known from the segments' allowed v alone: when it would hold more than
+    ``budget`` prefixes, the step returns ([], None) before any other list
+    is built."""
     prefixes, segments = level
     every = -1  # the v that every check allows next to every symbol
     for _, wmasks in checks:
         every &= reduce(and_, wmasks)
-    # per segment: the v it allows, and its cells p+1-k..p-1 (kept by the shift)
-    allows, keys, cut = [], [], q ** max(p + 1 - k, 0)
-    for head, _ in segments:
+    allows, total, full = [], 0, (1 << q) - 1  # per segment: the v it allows
+    for head, length in segments:
         ok = -1
         for div, wmasks in checks:
             ok &= wmasks[head // div % q]
         allows.append(ok)
-        keys.append(head // cut)
-    kept, new, new_segments, total, qp = [], [], [], 0, q ** p
+        total += length * (ok & full).bit_count()
+    if total > budget:
+        return [], None
+    cut = q ** max(p + 1 - k, 0)  # head // cut: a segment's cells p+1-k..p-1, kept by the shift
+    kept, new, new_segments, qp = [], [], [], q ** p
     for v in range(q):
         # runs: [start, stop] in level p; parts: v's segments of level p+1
         runs, parts, at, last, size, top = [], [], 0, None, 0, v * qp
-        for (head, length), key, ok in zip(segments, keys, allows):
+        for (head, length), ok in zip(segments, allows):
             if ok >> v & 1:
                 if runs and runs[-1][1] == at:
                     runs[-1][1] += length
                 else:
                     runs.append([at, at + length])
-                if key == last:
+                if (key := head // cut) == last:
                     parts[-1][1] += length
                 else:
                     parts.append([head + top, length])
@@ -170,9 +173,6 @@ def _extend_prefixes(
             at += length
         if not size:
             continue
-        total += size
-        if total > budget:
-            return kept, None
         mask = None
         if not every >> v & 1:
             bits, end = [], 0

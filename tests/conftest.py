@@ -1,8 +1,9 @@
 import itertools
+import json
 
 import pytest
 
-from sftbounds import Alphabet, SftModel, builtin_model
+from sftbounds import Alphabet, SftModel, builtin_model, parse_model
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +100,18 @@ def brute_force_count(model: SftModel, n: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def split_axes_model():
+    """d = 3 on three symbols whose slice axes forbid different pairs:
+    axis 1 forbids a next to b, axis 2 b next to b and c next to c."""
+    doc = {
+        "dimension": 3,
+        "alphabet": ["a", "b", "c"],
+        "forbidden": [
+            [["a", "b"], ["b", "a"]],
+            [["b", "b"], ["c", "c"]],
+            [["a", "a"]],
+        ],
+    }
+    return parse_model(json.dumps(doc))

@@ -73,7 +73,7 @@ def slices_by_walk(model, n, state_budget=DEFAULT_STATE_BUDGET):
         and count_patterns(drop_last_axis(model), n, state_budget) > state_budget
     ):
         raise BudgetExceededError(f"more than {state_budget} slices at side {n}")
-    free = (model.full_mask,) * model.num_symbols
+    free = ((1 << model.num_symbols) - 1,) * model.num_symbols
     return advance(model, n, {0: 1}, free, phase_checks(model, n), state_budget)
 
 

@@ -177,9 +177,9 @@ def test_large_alphabet_uses_mask_fallback():
     # one lazily filled mask -> values map serves every alphabet size
     for q in (2, 3, 17):
         model = builtin_model("coloring", 2, q)
-        vfm = model.values_for_mask
-        for m in (0, 1, 0b1010, 1 << 16, model.full_mask, 0b10000000000000101):
-            m &= model.full_mask
+        vfm, full = model.values_for_mask, (1 << q) - 1
+        for m in (0, 1, 0b1010, 1 << 16, full, 0b10000000000000101):
+            m &= full
             assert vfm[m] == tuple(v for v in range(q) if m >> v & 1)
         p = sample_admissible(model, 3, random.Random(0))
         assert p.n == 3 and is_locally_admissible(model, p)
