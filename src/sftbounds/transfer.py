@@ -48,9 +48,15 @@ the q^w fillings of a slice of w cells fit it.
 The walk is split in half (Calkin-Wilf's symmetric transfer matrix):
 ``C_n = <T^a 1, T^b 1>`` with ``a = (n-1) // 2`` and ``b = n-1-a``, since
 ``T = T^T`` for every model (``SftModel`` admits only symmetric forbidden
-sets, the paper's hypothesis).  So the second vector is the first one
-itself, advanced once more when n-1 is odd: about half the products, on
-counts of about half the width.
+sets, the paper's hypothesis).  For even n, R folds the last product too.
+The phase-p matrix holds at (y, x) the sum M_p(y, x) of the input at R(o)
+over the old slices o = a x with a compatible with y; the input at the
+new slices s = y c with c compatible with x sums to M_{w-p}(rev x, rev y),
+each s being R(o') for o' = rev(c) rev(y).  So <u, T R u> is the sum of
+M_p(y, x) M_{w-p}(rev x, rev y) for every u.  At p = w/2 a suffix packs as
+its reflection's prefix, so when P_{w/2} and S_{w/2} are one list and
+there is no remap or fan-out (the plan's ``fold``) this pairs M_{w/2}
+with its transpose (``_pair``); R v = v makes it <v, T v> for v = T^a 1.
 
 The count also runs on one slice per symbol class.  Symbols r and s share
 a class when the transposition (r s) maps every axis's forbidden set onto
@@ -272,8 +278,9 @@ def _plan_product(
     ``gathers`` lists per suffix of S_{p+1} the positions in S_p it sums
     per kept v.  Input position i is read as suffix s_i, the slice
     R(s_i): the product maps u to T R u.  ``remap`` puts the output back
-    in slice order, with zeros, when P_w is not every slice.  Returns
-    (phases, switch, remap), or None when a phase reaches nothing.
+    in slice order, with zeros, when P_w is not every slice.  ``fold``
+    is no remap, w even and P_{w/2} = S_{w/2} (``_pair``).  Returns
+    (phases, switch, remap, fold), or None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(steps)
@@ -282,10 +289,12 @@ def _plan_product(
     levels = [1, *(sum(size for _, _, size in step) for step in steps)]
     psel = ssel = None  # P_p in L_p and S_p in L_{w-p}, 0/1 bytes; None: all
     n_pre, n_suf = 1, len(slices)
-    phases, switch, remap = [], w, None
+    phases, switch, remap, fold = [], w, None, False
     for p in range(w):
         if switch == w and n_pre >= n_suf:
             switch = p
+        if 2 * p == w:  # P_p and S_p select from one level, L_p
+            fold = (psel or b"\1" * levels[p]) == (ssel or b"\1" * levels[p])
         # block a of S_p is the selected part of group a of step w-1-p,
         # from position lo[a] of S_p; its tails, as a 0/1 mask over L_{w-1-p}
         lo, tails, start, at = {}, {}, 0, 0
@@ -357,7 +366,7 @@ def _plan_product(
     if prefixes != slices:
         pos = dict(zip(prefixes, count()))
         remap = itemgetter(*map(pos.get, slices, repeat(len(prefixes))))
-    return phases, switch, remap
+    return phases, switch, remap, fold and remap is None
 
 
 def _quotient_plan(model: SftModel, plan: tuple):
@@ -369,7 +378,7 @@ def _quotient_plan(model: SftModel, plan: tuple):
     as x*q + y_0 (x on the last level), and ``tables[v]`` maps it to that
     of tau(y + v*q^p).  ``remap`` fans the output out: slice s reads tau
     s, or the 0 after the output if s is not in P_w."""
-    phases, switch, remap = plan
+    phases, switch, remap, _ = plan
     q, reps, w = model.num_symbols, model.symbol_classes, len(phases)
     size = q * max((sum(map(itemgetter(2), kept)) for kept, _ in phases[:-1]), default=0)
     pool, tables = list(range(size)), [[None] * size for _ in range(q)]  # stale ones go unread
@@ -405,7 +414,7 @@ def _quotient_plan(model: SftModel, plan: tuple):
             canon = b"".join(canons)
         narrowed.append((qk, gathers))
     taus = taus if remap is None else remap([*taus, canon.count(1)])
-    return narrowed, switch, itemgetter(*taus)
+    return narrowed, switch, itemgetter(*taus), False
 
 
 def _rows_step(rows: list, phase: tuple) -> list:
@@ -442,18 +451,35 @@ def _columns_step(cols: list, phase: tuple) -> list:
     return out
 
 
+def _walk(plan: tuple, vec: list[int], stop: int) -> list:
+    """The matrix before phase ``stop``: rows up to the switch, columns past it."""
+    phases, switch = plan[:2]
+    m = [vec]  # one row, for the empty prefix
+    for phase in phases[:min(stop, switch)]:
+        m = _rows_step(m, phase)
+    if stop > switch:
+        m = list(zip(*m))  # rows over suffixes to columns over prefixes
+        for phase in phases[switch:stop]:
+            m = _columns_step(m, phase)
+    return m
+
+
 def _apply_plan(plan: tuple, vec: list[int]) -> list[int] | tuple[int, ...]:
     """One product of either plan of a side, on a vector over its slices;
     a remap (two or more positions) returns a tuple."""
-    phases, switch, remap = plan
-    m = [vec]  # one row, for the empty prefix
-    for phase in phases[:switch]:
-        m = _rows_step(m, phase)
-    m = list(zip(*m))  # rows over suffixes to columns over prefixes
-    for phase in phases[switch:]:
-        m = _columns_step(m, phase)
-    vec = m[0]  # one column, for the empty suffix
+    phases, switch, remap, _ = plan
+    m = _walk(plan, vec, len(phases))
+    vec = m[0] if switch < len(phases) else next(zip(*m))  # the empty suffix
     return vec if remap is None else remap([*vec, 0])
+
+
+def _pair(plan: tuple, u: list[int]) -> int:
+    """<u, T R u> over the slices: on a ``fold`` plan from the matrix
+    before phase w/2 and its transpose, else from one more product."""
+    if not plan[3]:
+        return sum(map(mul, u, _apply_plan(plan, u)))
+    m = _walk(plan, u, len(plan[0]) // 2)
+    return sum(map(mul, chain.from_iterable(m), chain.from_iterable(zip(*m))))
 
 
 class Side:
@@ -464,8 +490,8 @@ class Side:
     them and each listing step; ``plan(quotient)`` reads the full plan off
     them once (``_plan_product``) and narrows its masks to the count's
     plan once (``_quotient_plan``).  Both plans are (phases, switch,
-    remap), every phase a pair (kept, gathers), and both map vectors over
-    the slices.
+    remap, fold), every phase a pair (kept, gathers), and both map vectors
+    over the slices.
     The side carries its budget: ``state_counts(side)`` reads model, n
     and budget off it, and ``count_patterns`` checks that a side passed
     to it matches its own arguments.  Raises ``ValueError`` for n < 1.
@@ -513,7 +539,8 @@ def count_via_transfer(
 ) -> int:
     """Exact cube count via the slice decomposition, on the count's plan
     (``Side.plan``); on ``side`` when given, which must be of this model,
-    side and budget (see ``Side``)."""
+    side and budget (see ``Side``).  For even n, ``_pair`` runs half the
+    last product on a ``fold`` plan and all of it otherwise."""
     if side is None:
         side = Side(model, n, state_budget)
     elif (side.model, side.n, side.state_budget) != (model, n, state_budget):
@@ -527,9 +554,7 @@ def count_via_transfer(
     v = [1] * len(slices)
     for _ in range((n - 1) // 2):
         v = _apply_plan(plan, v)
-    # T = T^T: T^a 1 is also the first a steps of T^b 1
-    u = _apply_plan(plan, v) if (n - 1) % 2 else v
-    return sum(map(mul, v, u))
+    return _pair(plan, v) if (n - 1) % 2 else sum(map(mul, v, v))
 
 
 def state_counts(side: Side) -> dict[tuple[int, int], int]:

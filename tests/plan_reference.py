@@ -116,9 +116,14 @@ def plan_product(
     carries each prefix's image under (rep(c) c), per non-representative
     c, and ``remap`` fans the output out: slice s reads the position of
     tau s in P_w, or the 0 after the output (position |P_w|) when tau s
-    is not in P_w.  Returns (steps, switch, remap), ``remap`` None when
-    it would read every position in order, or None when a phase reaches
-    nothing.
+    is not in P_w.
+
+    ``fold`` is True when ``remap`` is None, w is even and the prefixes
+    before phase w/2 are the suffixes there, as one list of integers: a
+    suffix packs as its reflection's prefix, so the two lists are then
+    one selection of the same level.  Returns (steps, switch, remap,
+    fold), ``remap`` None when it would read every position in order, or
+    None when a phase reaches nothing.
     """
     q = model.num_symbols
     w = len(phases)
@@ -140,9 +145,12 @@ def plan_product(
     switch = w
     remap = None
     rows = 1  # the full plan's |P_p|
+    middle = False
     for p, checks in enumerate(phases):
         if switch == w and rows >= len(suffixes):
             switch = p
+        if 2 * p == w:
+            middle = prefixes == suffixes
         # a's block of the suffixes is lo[a]..lo[a+1]-1
         top = q ** (w - 1 - p)
         lo = [*map(bisect_left, repeat(suffixes), range(0, q * top, top)), len(suffixes)]
@@ -214,4 +222,4 @@ def plan_product(
             where.update(zip(compress(images, sel), compress(count(), sel)))
     if quotient or prefixes != slices:
         remap = list(map(where.get, slices, repeat(len(prefixes))))
-    return steps, switch, remap
+    return steps, switch, remap, middle and remap is None

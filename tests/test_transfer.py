@@ -6,6 +6,7 @@ import time
 from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import dataclass
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from sftbounds.transfer import (
     DEFAULT_STATE_BUDGET,
     Side,
     _apply_plan,
+    _pair,
     _phase_checks,
     build_slice_space,
     state_counts,
@@ -438,6 +440,79 @@ def test_half_walk_matches_full_walk(hard_square2, coloring3_d2, hard_square3):
             assert count_via_transfer(model, n) == full_walk_count(model, n)
 
 
+def assert_pair_is_the_product(model, n, rng):
+    """On both plans of side n, ``_pair`` gives <u, T R u> of the product
+    on a random vector u, which is not R-invariant; returns each plan's
+    fold."""
+    side = Side(model, n)
+    folds = []
+    for quotient in (False, True):
+        plan = side.plan(quotient)
+        if plan is None:
+            continue
+        u = [rng.randrange(-10 ** 30, 10 ** 30) for _ in side.slices()]
+        assert _pair(plan, u) == sum(map(mul, u, _apply_plan(plan, u))), (model, n, quotient)
+        folds.append(plan[3])
+    return folds
+
+
+def test_pair_folds_the_last_product(hard_square2, hard_square3, coloring3_d2):
+    # M(y, x) pairs with M(rev x, rev y) for every u, so the middle phase
+    # alone gives <u, T R u>; a plan folds exactly on an even w with no
+    # remap here, the count's plan of coloring:3 (a fan-out) never
+    rng = random.Random(31)
+    cases = [
+        *((hard_square2, n) for n in range(2, 17)),
+        *((hard_square3, n) for n in range(2, 5)),
+        (builtin_model("hard-square", 4), 2),
+        *((model, n) for model in (
+            split_axes_model(), forbid_axis_model(), forbid_axis_model(3, 3),
+            single_symbol_forced(), single_symbol_forced(3),
+            *closed_models(2), *closed_models(3),
+        ) for n in range(2, 7 if model.dimension == 2 else 5)),
+        *((model, n) for model in one_dimensional_models() for n in range(2, 6)),
+    ]
+    for model, n in cases:
+        side = Side(model, n)
+        even = n ** (model.dimension - 1) % 2 == 0
+        for quotient in (False, True):
+            plan = side.plan(quotient)
+            assert plan is None or plan[3] == (even and plan[2] is None), (model, n)
+        assert_pair_is_the_product(model, n, rng)
+    for n in range(2, 11):
+        assert not Side(coloring3_d2, n).plan(True)[3]
+        assert Side(coloring3_d2, n).plan(False)[3] == (n % 2 == 0)
+    # a symbol with no neighbor along a slice axis: on side 2 the middle
+    # prefixes are not the middle suffixes, and the product runs in full
+    for model in (isolated_symbol_model(2, 0), isolated_symbol_model(3, 0)):
+        assert assert_pair_is_the_product(model, 2, rng) == [False, False]
+        assert assert_pair_is_the_product(model, 4, rng) == [True, True]
+
+
+def test_even_sides_run_half_a_last_product(monkeypatch, hard_square2, hard_square3,
+                                            coloring3_d2):
+    # a timing-free guard on the fold: C_4 in d = 3 runs one product of
+    # 16 phases and half of one, C_14 in d = 2 six of 14 and half of one;
+    # coloring:3's count plan fans out and runs its last product in full
+    import sftbounds.transfer as transfer_mod
+
+    steps = []
+    for name in ("_rows_step", "_columns_step"):
+        def spy(m, phase, real=getattr(transfer_mod, name)):
+            steps.append(1)
+            return real(m, phase)
+
+        monkeypatch.setattr(transfer_mod, name, spy)
+    for model, n, expected in [
+        (hard_square3, 4, 16 + 8), (hard_square2, 14, 6 * 14 + 7), (coloring3_d2, 10, 5 * 10),
+    ]:
+        side = Side(model, n)
+        side.slices()
+        steps.clear()
+        count_patterns(model, n, side=side)
+        assert len(steps) == expected, (model, n)
+
+
 def closed_models(d):
     """Non-builtin relations in dimension d: the reversal closures of the
     asymmetric relations the model type refuses."""
@@ -559,7 +634,7 @@ class PlannedProduct:
 
     def factor_sizes(self):
         """(|P_p|, |S_p|) after each phase, read off the plan's phases."""
-        phases, switch, _ = self.plan
+        phases, switch = self.plan[:2]
         sizes = []
         rows = 1
         for p, (kept, gathers) in enumerate(phases):
@@ -649,7 +724,7 @@ def phase_runs(plan):
     A row step lists one group per run, and every gather is a slice; a
     column step lists per suffix its source positions, which a run
     continues one position on."""
-    phases, switch, _ = plan
+    phases, switch = plan[:2]
     runs = []
     for p, (_, gathers) in enumerate(phases[1:], 1):
         if p < switch:
@@ -782,7 +857,7 @@ def assert_quotient_matches(model, n, expected=None):
     if full is None:
         assert canonical is None
         return
-    assert len(canonical) == len(full) == 3 and canonical[1] == full[1]  # the switch
+    assert len(canonical) == len(full) == 4 and canonical[1] == full[1]  # the switch
     vec = [1] * len(slices)
     for k in range(n):
         out = _apply_plan(full, vec)
@@ -992,10 +1067,10 @@ def side_plan(model, n, budget, quotient):
     plan = side.plan(quotient)
     if not plan:
         return plan
-    phases, switch, _ = plan
+    phases, switch, _, fold = plan
     if quotient:
         phases = [nonempty_entries(phase, p < switch) for p, phase in enumerate(phases)]
-    return phases, switch, remap_positions(plan, side.slices())
+    return phases, switch, remap_positions(plan, side.slices()), fold
 
 
 def nonempty_entries(phase, rows):
@@ -1021,8 +1096,8 @@ def reference_plan(model, n, budget, quotient):
 
 
 def assert_plan_matches_reference(model, n, budget=DEFAULT_STATE_BUDGET):
-    """Both kinds of plan equal the reference's: steps, switch and remap,
-    or the same refusal text."""
+    """Both kinds of plan equal the reference's: steps, switch, remap
+    and fold, or the same refusal text."""
     for quotient in (False, True):
         got = outcome(side_plan, model, n, budget, quotient)
         assert got == outcome(reference_plan, model, n, budget, quotient), (
@@ -1051,6 +1126,15 @@ def symmetric_models_and_budgets(draw):
 @given(symmetric_models_and_budgets())
 def test_plan_matches_reference_random(case):
     assert_plan_matches_reference(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_models_and_budgets())
+def test_pair_is_the_product_random(case):
+    # dead-end prefixes of random models can make the middle phase's
+    # prefixes differ from its suffixes: either path must be the product
+    model, n, _ = case
+    assert_pair_is_the_product(model, n, random.Random(n))
 
 
 def test_plan_matches_reference(hard_square2, hard_square3, coloring3_d2):
