@@ -10,10 +10,11 @@ constrained only by its already-placed predecessor neighbors (at most one
 per axis); forbidden branches are pruned immediately.  It follows one
 schedule per (model, n) (``_schedule``): the free cells with their checks,
 each followed by the pinned shell cells up to the next, checked right
-after it.  Without pins every cell is free, so the exhaustive order is
-lexicographic.  Counts are plain Python integers, hence exact at any
-size.  The node budget raises the package's one budget error,
-``transfer.BudgetExceededError``.
+after it.  Cell 0 is free at every side the search pins (n >= 2), so a
+schedule starts with a free cell.  Without pins every cell is free, so
+the exhaustive order is lexicographic.  Counts are plain Python
+integers, hence exact at any size.  The node budget raises the package's
+one budget error, ``transfer.BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -32,21 +33,21 @@ DEFAULT_NODE_BUDGET = 50_000_000
 def _schedule(masks: tuple, n: int, d: int, shell: bool) -> tuple:
     """The search of side n for a model's ``allowed_masks`` (keyed by them,
     not the model, for a cheap hash): the full mask, the pinned cells (the
-    shell if ``shell``, else none), the pinned cells before the first free
-    one, and the free cells, ascending.  A pinned cell is (cell, checks), a
-    free one (cell, checks, pins, len(pins)) with pins the pinned cells up
-    to the next free one; checks are (index, masks) for each already-placed
+    shell if ``shell``, which needs n >= 2, else none) and the free cells,
+    ascending; cell 0 is free.  A pinned cell is (cell, checks), a free one
+    (cell, checks, pins, len(pins)) with pins the pinned cells up to the
+    next free one; checks are (index, masks) for each already-placed
     neighbor."""
     pinned = surface_indices(n, d) if shell else ()
-    head, free = [], []
+    free = []
     for i, preds in enumerate(predecessors(n, d)):
         checks = tuple((i - off, masks[k]) for off, k in preds)
         if i in pinned:
-            (free[-1][2] if free else head).append((i, checks))
+            free[-1][2].append((i, checks))
         else:
             free.append((i, checks, []))
     free = tuple((i, c, tuple(pins), len(pins)) for i, c, pins in free)
-    return (1 << len(masks[0])) - 1, pinned, tuple(head), free
+    return (1 << len(masks[0])) - 1, pinned, free
 
 
 def _passing(buf: list[int], pins: tuple, full: int) -> int:
@@ -66,26 +67,17 @@ def _search(
     """Yield every admissible cube assignment, reusing one value buffer.
 
     Values are tried in ascending order, or as ``rng.shuffle`` orders them.
-    ``pins`` gives the shell cells' values (ascending cells); each pinned
-    cell is checked right after the free cell before it, so its failure
-    sends that free cell to its next value.  Each accepted free-cell value
-    and each pin that passes costs one unit of budget; running out raises
-    BudgetExceededError.
+    ``pins`` gives the shell cells' values (ascending cells, side n >= 2);
+    each pinned cell is checked right after the free cell before it, so
+    its failure sends that free cell to its next value.  Each accepted
+    free-cell value and each pin that passes costs one unit of budget;
+    running out raises BudgetExceededError.
     """
-    full, shell, head, free = _schedule(model.allowed_masks, n, model.dimension, pins is not None)
+    full, shell, free = _schedule(model.allowed_masks, n, model.dimension, pins is not None)
     vfm = model.values_for_mask
     buf = [0] * n ** model.dimension
     for i, v in zip(shell, pins or ()):
         buf[i] = v
-    k = _passing(buf, head, full)
-    budget -= k
-    if budget < 0:
-        raise _exhausted(model, n)
-    if k < len(head):
-        return
-    if not free:  # side 1, pinned
-        yield buf
-        return
     depth, top = 0, len(free) - 1
     values = [None] * len(free)
     while True:

@@ -85,7 +85,6 @@ class SurfaceState(_Value, frozen=True):
         self.__dict__.update(n=n, d=d, cells=cells)
 
 
-@lru_cache(maxsize=None)
 def surface_indices(n: int, d: int) -> tuple[int, ...]:
     """Linear indices of cells with some coordinate n-1, ascending.
 

@@ -50,9 +50,16 @@ def sample_admissible(model: SftModel, n: int, rng: random.Random) -> CubePatter
 
 
 def sample_with_state(model: SftModel, state: SurfaceState, rng: random.Random) -> CubePattern:
-    """One admissible pattern whose boundary state equals ``state``."""
+    """One admissible pattern whose boundary state equals ``state``; at
+    side 1, whose shell is its one cell, the state itself, with no search.
+    Raises ``SamplingError`` when no side-n pattern has the state, before
+    any search when a value is outside the alphabet."""
     if state.d != model.dimension:
         raise ValueError(f"state dimension {state.d} does not match model dimension {model.dimension}")
+    if not 0 <= min(state.cells) <= max(state.cells) < model.num_symbols:
+        raise SamplingError(f"no side-{state.n} pattern has the requested boundary state")
+    if state.n == 1:
+        return CubePattern(1, state.d, state.cells)
     p = _randomized_completion(model, state.n, rng, state.cells)
     if surface_state(p) != state:
         raise AssertionError("completion does not realize the requested state")

@@ -81,10 +81,11 @@ at once: each entry of the vector packs one count per shell prefix in
 fixed-width bit fields of one integer, and before each product an entry
 moves to the fields of the prefixes that append its slice's shell digits
 (or its reflection's, so that the R of each T R cancels) by one left
-shift.  After n-1 products a (shell prefix, last slice) key is one
-boundary state, and its field holds the number of patterns with that
-state.  In d = 1 no earlier slice has a shell cell, so every prefix is 0
-and the key is the last cell's value.
+shift.  After n-1 products each count is keyed (f, s), s the last slice
+and f the index of its field, whose base-Q digits (Q = q^h, h shell cells
+per slice) are the shell codes of slices 0..n-2, slice 0 least
+significant; a key is one boundary state.  In d = 1 no earlier slice has
+a shell cell, so every f is 0.
 
 The table is always read off a ``Side``, which carries its model, side
 and budget: ``state_counts(side)``.  A caller that needs side n's count
@@ -230,15 +231,6 @@ def build_slice_space(
         if steps is not None:
             steps.append(kept)
     return level[0]
-
-
-def _reversals(q: int, k: int) -> list[int]:
-    """Each of 0..q^k-1 with its k base-q digits in reverse order: the key
-    prefix of each field of ``state_counts``."""
-    table = [0]
-    for _ in range(k):  # a new top digit t of the index is the entry's lowest
-        table = [t + q * r for t in range(q) for r in table]
-    return table
 
 
 def _plan_product(
@@ -561,27 +553,22 @@ def state_counts(side: Side) -> dict[tuple[int, int], int]:
     """Exact pattern count per realized boundary state of ``side``; values
     sum to C_n.  The slices, the full plan and the budget are the side's.
 
-    Keyed by (prefix, last slice): the last slice is packed as in the
-    transfer, and the prefix holds, for slices 0..n-2 in turn, the digits
-    of that slice's h shell cells in ascending cell order, as one base-q
-    integer (slice 0 most significant).  The keys are one-to-one with the
-    realized states; the caller that only needs the values never decodes
-    them.
+    Keyed by (f, s): s the last slice, packed as in the transfer, and f
+    = sum_j c_j Q^j the index of the field the count sits in, c_j the
+    code of slice j's h shell digits (ascending cells, first most
+    significant) and Q = q^h.  The keys are one-to-one with the realized
+    states; the caller that only needs the values never decodes them.
 
     The walk runs the planned product n-1 times on one vector whose entry
-    for slice s packs a count per shell prefix in W-bit fields, with slice
-    0's digits in the least significant place: field f = sum_j c_j Q^j,
-    Q = q^h, at bits [f*W, (f+1)*W), where c_j is the code of slice j's
-    shell digits (first shell cell most significant).  Before step k the
-    entry of slice s moves to the fields that append s's code, one left
-    shift by code(s) * Q^k * W bits, so an entry holds Q^(k+1) fields
-    after step k.  The product is linear and maps every field alike, so
-    after n-1 steps field f of slice s is the count of key (g, s), where g
-    lists the same codes slice 0 first; ``_unpack`` keys f by g.  The
-    side's budget bounds the final vector, Q^(n-1) fields per slice,
-    before any product.  It does not bound the walk's peak: a phase holds
-    up to prefixes x suffixes entries (at most the budget, by the plan's
-    own check), each of up to Q^(n-1) fields.
+    for slice s packs a count per shell prefix in W-bit fields, field f at
+    bits [f*W, (f+1)*W).  Before step k the entry of slice s moves to the
+    fields that append s's code, one left shift by code(s) * Q^k * W bits,
+    so an entry holds Q^(k+1) fields after step k.  The product is linear
+    and maps every field alike, so after n-1 steps field f of slice s is
+    the count of key (f, s).  The side's budget bounds the final vector,
+    Q^(n-1) fields per slice, before any product.  It does not bound the
+    walk's peak: a phase holds up to prefixes x suffixes entries (at most
+    the budget, by the plan's own check), each of up to Q^(n-1) fields.
 
     The plan computes T R, not T, with R the point reflection of a slice
     (``_plan_product``), and R commutes with T.  Write x_k for the vector
@@ -632,20 +619,18 @@ def state_counts(side: Side) -> dict[tuple[int, int], int]:
     for k in range(n - 1):
         shifts = map(mul, codes[(n - 1 - k) % 2], repeat(block ** k * width))
         vec = _apply_plan(plan, list(map(lshift, vec, shifts)))
-    # the key prefix g of field f lists the same n-1 codes, slice 0 first:
-    # the base-Q digits of f reversed
-    return _unpack(vec, slices, _reversals(block, n - 1), width)
+    return _unpack(vec, slices, block ** (n - 1), width)
 
 
-def _unpack(vec: list[int], slices: list[int], prefix: list[int], width: int):
-    """The nonzero ``width``-bit fields of each entry, keyed (prefix, slice).
+def _unpack(vec: list[int], slices: list[int], fields: int, width: int):
+    """The nonzero ``width``-bit fields of each entry, keyed (field, slice).
 
-    Each entry becomes a list of 64-bit words at C level, and a field of
-    several words is joined from its words, where an upper word of some
-    field is nonzero; field f gets key prefix[f].
+    Each entry of ``fields`` fields becomes a list of 64-bit words at C
+    level, and a field of several words is joined from its words, where an
+    upper word of some field is nonzero.
     """
     words = width // 64
-    size = len(prefix) * width // 8
+    size = fields * width // 8
     out = {}
     for s, v in zip(slices, vec):
         if not v:
@@ -657,7 +642,7 @@ def _unpack(vec: list[int], slices: list[int], prefix: list[int], width: int):
         for j in range(1, words):
             if any(high := raw[j::words]):
                 vals = list(map(add, vals, map(lshift, high, repeat(64 * j))))
-        out.update(zip(zip(compress(prefix, vals), repeat(s)), compress(vals, vals)))
+        out.update(zip(zip(compress(count(), vals), repeat(s)), compress(vals, vals)))
     return out
 
 

@@ -80,11 +80,12 @@ def slices_by_walk(model, n, state_budget=DEFAULT_STATE_BUDGET):
 def state_counts_by_groups(model, n, state_budget=DEFAULT_STATE_BUDGET):
     """The per-state table by a walk split by shell digits.
 
-    Before each product the slice vector of each shell prefix is split by
-    the current slice's shell digits (first shell cell most significant),
-    and every part is advanced on its own.  After n-1 products a (shell
-    prefix, last slice) key is one boundary state.  The budget bounds the
-    keys realized so far.
+    Before product j the slice vector of each shell prefix is split by the
+    current slice's shell code (its shell digits, first shell cell most
+    significant), and every part is advanced on its own under the prefix
+    plus code * Q^j, Q = q^(shell cells per slice).  After n-1 products a
+    (shell prefix, last slice) key is one boundary state.  The budget
+    bounds the keys realized so far.
     """
     d = model.dimension
     q = model.num_symbols
@@ -92,14 +93,14 @@ def state_counts_by_groups(model, n, state_budget=DEFAULT_STATE_BUDGET):
     forward = model.allowed_masks[d - 1]
     shell = [q ** p for p in range(n ** (d - 1)) if n - 1 in decode(p, n, d - 1)]
     groups = {0: slices_by_walk(model, n, state_budget)}
-    for _ in range(n - 1):
+    for j in range(n - 1):
         parts = {}
         for prefix, dist in groups.items():
             for s, c in dist.items():
-                key = prefix
+                code = 0
                 for div in shell:
-                    key = key * q + s // div % q
-                parts.setdefault(key, {})[s] = c
+                    code = code * q + s // div % q
+                parts.setdefault(prefix + code * q ** (len(shell) * j), {})[s] = c
         groups = {}
         total = 0
         for key, part in parts.items():

@@ -51,6 +51,14 @@ def test_count_range_json(capsys):
     assert [row["C_n"] for row in doc["counts"]] == ["2", "7", "63", "1234"]
 
 
+def test_count_range_csv(capsys):
+    code, out, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "--format", "csv",
+        "count", "--n", "1", "--n-max", "3",
+    )
+    assert (code, out, err) == (0, "n,C_n\n1,2\n2,7\n3,63\n", "")
+
+
 def test_count_model_file(capsys, tmp_path):
     doc = {
         "dimension": 2,
@@ -76,6 +84,29 @@ def test_bounds_human_table(capsys):
     assert len(lines) == 3
     assert "0.486478" in lines[2]
     assert "-0.177224" in lines[2]
+
+
+def test_bounds_text_prints_undecided_bounds_as_na(capsys):
+    # hard-square d=3: C_6 is past the state budget, so row 5 has no lower bound
+    code, out, _ = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "3", "bounds", "--n-max", "5"
+    )
+    assert code == 0
+    row = out.splitlines()[5].split()
+    assert row[:2] == ["5", "1621477990380993035885"]
+    assert row[2] == "n/a"
+    assert "n/a" not in out.splitlines()[4]
+
+
+def test_bounds_text_prints_minus_inf(capsys):
+    # coloring:1 has one side-1 pattern and none from side 2 on
+    code, out, _ = run_cli(
+        capsys, "--builtin", "coloring:1", "--dim", "2", "bounds", "--n-max", "2"
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert rows == [["1", "1", "-inf", "0.000000", "0.000000"],
+                    ["2", "0", "-inf", "-inf", "0.000000"]]
 
 
 def test_bounds_json_and_determinism(capsys):
@@ -213,6 +244,33 @@ def test_table_that_misses_the_count_exits_three(capsys, monkeypatch):
         assert err == (f"verification failure: the per-state table of side {side} "
                        f"does not sum to {count}\n")
         assert out == ""
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("--dim 2 verify --n 1", "verify needs --n >= 2"),
+    ("--dim 2 count --n 0", "need 1 <= --n <= --n-max"),
+    ("--dim 1 glue-demo --n 2", "glue-demo supports dimension 2 or 3"),
+    ("--dim 4 glue-demo --n 2", "glue-demo supports dimension 2 or 3"),
+    ("--dim 2 glue-demo --n 1", "glue-demo needs --n >= 2"),
+])
+def test_commands_refuse_sides_and_dimensions_they_do_not_run(capsys, argv, line):
+    code, out, err = run_cli(capsys, "--builtin", "hard-square", *argv.split())
+    assert (code, out, err) == (1, "", line + "\n")
+
+
+def test_glue_error_exits_three(capsys, monkeypatch):
+    import sftbounds.cli as cli_mod
+    from sftbounds.gluing import GlueError
+
+    def broken(model, group):
+        raise GlueError("blocks disagree on their shared face")
+
+    monkeypatch.setattr(cli_mod, "glue_and_check", broken)
+    code, _, err = run_cli(
+        capsys, "--builtin", "hard-square", "--dim", "2", "glue-demo", "--n", "2",
+    )
+    assert code == 3
+    assert err == "construction failure: blocks disagree on their shared face\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -588,6 +646,13 @@ REJECTED = [
      " (choose from 'count', 'bounds', 'verify', 'glue-demo')"),
     ("--builtin hard-square --dim 2",
      "sftbounds: error: a command is required (count, bounds, verify, glue-demo)"),
+    # an empty long prefix matches every long flag, "-h" takes no value,
+    # and "-.5" reads as a value, not a flag
+    ("--=x",
+     "sftbounds: error: ambiguous option: --=x could match --help, --model,"
+     " --builtin, --dim, --format, --seed, --log-base"),
+    ("-hx", "sftbounds: error: argument -h/--help: ignored explicit argument 'x'"),
+    ("--seed -.5", "sftbounds: error: argument --seed: invalid int value: '-.5'"),
 ]
 
 

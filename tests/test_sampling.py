@@ -5,6 +5,7 @@ import pytest
 import sftbounds.enumeration as enumeration
 import sftbounds.sampling as sampling
 from sftbounds import (
+    CubePattern,
     SamplingError,
     SurfaceState,
     builtin_model,
@@ -176,6 +177,45 @@ def test_a_state_no_pattern_has_is_named():
         sample_admissible(forbid_axis_model(2), 2, random.Random(0))
     with pytest.raises(SamplingError, match="^model admits no side-2 pattern$"):
         sample_same_state_group(forbid_axis_model(2), 2, 4, random.Random(0))
+
+
+@pytest.mark.parametrize("name, d, q", [("hard-square", 1, None), ("hard-square", 3, None),
+                                        ("coloring", 2, 3)])
+def test_side_1_state_is_its_pattern(name, d, q):
+    # the shell of a side-1 cube is its one cell: the draw is the state,
+    # and it takes nothing from the stream
+    model = builtin_model(name, d, q)
+    rng = random.Random(9)
+    before = rng.getstate()
+    for v in range(model.num_symbols):
+        p = sample_with_state(model, SurfaceState(1, d, (v,)), rng)
+        assert p == CubePattern(1, d, (v,))
+    assert rng.getstate() == before
+    for seed in (1, 7, 42):
+        rng, ref = random.Random(seed), random.Random(seed)
+        group = sample_same_state_group(model, 1, 4, rng)
+        assert len(set(group)) == 1
+        assert group == search_reference.sample_same_state_group(
+            model, 1, 4, ref, sampling.DEFAULT_ATTEMPT_BUDGET)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_a_pin_outside_the_alphabet_is_refused_before_the_search(monkeypatch, n, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched for a state outside the alphabet")
+
+    monkeypatch.setattr(sampling, "_search", refuse)
+    model = builtin_model("hard-square", 2)
+    for at in range(2 * n - 1):
+        cells = [0] * (2 * n - 1)
+        cells[at] = bad
+        state = SurfaceState(n, 2, tuple(cells))
+        with pytest.raises(
+            SamplingError, match=f"^no side-{n} pattern has the requested boundary state$"
+        ):
+            sample_with_state(model, state, random.Random(0))
 
 
 def test_glued_samples_skip_ten_failed_draws_and_raise_the_eleventh(monkeypatch):

@@ -1361,21 +1361,22 @@ def test_count_patterns_dispatch_by_dimension(
 def decode_states(model, n, table):
     """The shell-keyed table of ``state_counts`` re-keyed by SurfaceState.
 
-    A key is (prefix, last slice).  The prefix lists, for slices 0..n-2,
-    that slice's shell digits in ascending cell order as one base-q
-    integer, slice 0 most significant; cell p of slice j is cube cell
-    p * n + j.
+    A key is (field, last slice).  The field's base-q^h digits are the
+    codes of slices 0..n-2, slice 0 least significant; a code lists that
+    slice's h shell digits in ascending cell order as one base-q integer,
+    first cell most significant.  Cell p of slice j is cube cell p * n + j.
     """
     d, q = model.dimension, model.num_symbols
     w = n ** (d - 1)
     shell = [p for p in range(w) if n - 1 in decode(p, n, d - 1)]
     out = {}
-    for (prefix, last), c in table.items():
+    for (field, last), c in table.items():
         cells = {}
-        for j in range(n - 2, -1, -1):
+        for j in range(n - 1):
+            field, code = divmod(field, q ** len(shell))
             for p in reversed(shell):
-                prefix, cells[p * n + j] = divmod(prefix, q)
-        assert prefix == 0
+                code, cells[p * n + j] = divmod(code, q)
+        assert field == 0
         for p in range(w):
             last, cells[p * n + n - 1] = divmod(last, q)
         state = SurfaceState(n, d, tuple(cells[i] for i in surface_indices(n, d)))
@@ -1411,7 +1412,7 @@ def test_state_counts_d1_is_the_dfs_table():
     for model in one_dimensional_models():
         for n in range(1, 9 if model.num_symbols <= 3 else 4):
             table = state_counts(Side(model, n))
-            assert {prefix for prefix, _ in table} <= {0}
+            assert {field for field, _ in table} <= {0}
             assert decode_states(model, n, table) == count_by_state(model, n)
 
 
